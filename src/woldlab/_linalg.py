@@ -147,17 +147,19 @@ def nullspace_combinations(vectors, atol: float = 1e-8) -> list[np.ndarray]:
     return [vh[k].conj() for k in range(rank, n)]
 
 
+def linear_combination(coeffs, vectors) -> HVector:
+    """sum_i coeffs[i] * vectors[i], accumulated left to right."""
+    out = HVector.zero()
+    for a, v in zip(coeffs, vectors):
+        out = out + v.scaled(a)
+    return out
+
+
 def intersect_spans(basis_a, basis_b,
                     drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
     """Orthonormal basis of span(basis_a) ∩ span(basis_b)."""
     if not basis_a or not basis_b:
         return []
     residuals = [orthogonal_residual(v, basis_b) for v in basis_a]
-    combos = nullspace_combinations(residuals)
-    vectors = []
-    for coeffs in combos:
-        x = HVector.zero()
-        for a_i, v in zip(coeffs, basis_a):
-            x = x + v.scaled(a_i)
-        vectors.append(x)
-    return mgs(vectors, drop_tol)
+    return mgs([linear_combination(coeffs, basis_a)
+                for coeffs in nullspace_combinations(residuals)], drop_tol)

@@ -7,7 +7,8 @@ decomposition), ``spectral`` (multiplicity profile, bilateral-shift test and
 cover), and ``catalog`` (list or export the built-in operators).
 
 Exit codes: 0 for decided verdicts, 2 when some verdict is undecided (the
-partial report is still emitted), 1 for invalid input.
+partial report is still emitted), 1 for invalid input, usage errors
+included.
 """
 
 from __future__ import annotations
@@ -34,27 +35,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, horizon=False):
+    def common(p, depth=False):
         p.add_argument("--input", required=True,
                        help="catalog:NAME or a description file path")
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        if horizon:
-            p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+        if depth:
+            p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--output", default=None, help="write the report here")
 
     p_wold = sub.add_parser("wold", help="Wold and wandering-span decomposition")
-    common(p_wold)
+    common(p_wold, depth=True)
 
     p_wander = sub.add_parser("wander", help="certify a wandering vector")
-    common(p_wander, horizon=True)
+    common(p_wander)
+    p_wander.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p_wander.add_argument("--vector", required=True,
                           help='inline vector, e.g. "0:0=1,0:2=0.5+0.5i"')
     p_wander.add_argument("--strong", action="store_true",
                           help="test the two-sided (strong) condition")
 
     p_pair = sub.add_parser("pair", help="analyze a commuting pair")
-    common(p_pair)
+    common(p_pair, depth=True)
 
     p_spec = sub.add_parser("spectral", help="spectral multiplicity analyses")
     common(p_spec)
@@ -118,16 +119,15 @@ def _load_spectral(spec: str):
 
 def _run_wold(args) -> tuple[dict, int]:
     op = _load_operator(args.input)
-    res = wold.wold_decompose(op, args.depth)
     span = wold.wandering_span_decompose(op, args.depth)
     report = {
         "command": "wold",
         "input": args.input,
         "depth": args.depth,
-        "wold": serialize.wold_to_jsonable(res),
+        "wold": serialize.wold_to_jsonable(span.wold),
         "wandering_span": serialize.wandering_span_to_jsonable(span),
     }
-    undecided = (not res.exact) or span.certificate.is_undecided
+    undecided = (not span.wold.exact) or span.certificate.is_undecided
     return report, (UNDECIDED_EXIT if undecided else OK)
 
 
@@ -271,7 +271,11 @@ def _emit(report, fmt: str, output: str | None) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors, which would read as "undecided"
+        return INVALID if exc.code else OK
     runners = {
         "wold": _run_wold,
         "wander": _run_wander,

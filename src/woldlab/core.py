@@ -620,34 +620,9 @@ class StructuredIsometry:
             (l.lane_id, l.kind, l.size) for l in self.lanes
         ] == [(l.lane_id, l.kind, l.size) for l in other.lanes]
 
-    def with_name(self, name: str) -> "StructuredIsometry":
-        return StructuredIsometry(self.lanes, self.explicit_columns,
-                                  self.tail_rules, name=name)
-
     def lane_components(self) -> list[tuple[int, ...]]:
-        """Connected components of the lane graph (edges: tail rules and
-        cross-lane explicit columns).  Each component spans a reducing
-        subspace, and distinct components are mutually orthogonal."""
-        parent = {l.lane_id: l.lane_id for l in self.lanes}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        for rule in self.tail_rules:
-            union(rule.source_lane, rule.target_lane)
-        for src, col in self.explicit_columns.items():
-            for idx in col.support():
-                union(src.lane, idx.lane)
-        groups: dict[int, list[int]] = {}
-        for lane in self.lanes:
-            groups.setdefault(find(lane.lane_id), []).append(lane.lane_id)
-        return sorted(tuple(sorted(g)) for g in groups.values())
+        """Connected components of the lane graph; see ``lane_components``."""
+        return lane_components(self)
 
     def restricted_to_lanes(self, lane_ids) -> "StructuredIsometry":
         """Restriction to a union of lanes, when that union reduces the
@@ -672,6 +647,34 @@ class StructuredIsometry:
         return (f"StructuredIsometry({len(self.lanes)} lanes, "
                 f"{len(self.explicit_columns)} columns, "
                 f"{len(self.tail_rules)} tails{tag})")
+
+
+def lane_components(*ops: StructuredIsometry) -> list[tuple[int, ...]]:
+    """Connected components of the joint lane graph of operators on the same
+    lanes (edges: tail rules and cross-lane explicit columns of every
+    operator).  Each component spans a subspace reducing all of them, and
+    distinct components are mutually orthogonal."""
+    parent = {l.lane_id: l.lane_id for l in ops[0].lanes}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for op in ops:
+        for rule in op.tail_rules:
+            union(rule.source_lane, rule.target_lane)
+        for src, col in op.explicit_columns.items():
+            for idx in col.support():
+                union(src.lane, idx.lane)
+    groups: dict[int, list[int]] = {}
+    for lane_id in parent:
+        groups.setdefault(find(lane_id), []).append(lane_id)
+    return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def lanes_reducing(op: StructuredIsometry, lane_ids) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from fractions import Fraction
 
 from .core import BasisIndex, HVector, LaneSpec, StructuredIsometry, TailRule
@@ -218,8 +219,19 @@ def parse_vector_literal(text: str) -> HVector:
             raise MalformedInputError(
                 f"bad coefficient {coeff_text!r} in vector literal"
             ) from None
+        if not cmath.isfinite(coeff):
+            raise MalformedInputError(
+                f"coefficient {coeff_text!r} in vector literal is not finite"
+            )
         entries.append((idx, coeff))
     vector = HVector(entries)
     if vector.is_zero():
         raise MalformedInputError("the vector literal is (numerically) zero")
+    # overflow-safe: hypot scales, and the product is inf rather than raising
+    norm = math.hypot(*(part for _, c in vector.items()
+                        for part in (c.real, c.imag)))
+    if not math.isfinite(norm * norm):
+        raise MalformedInputError(
+            "the vector literal is too large: its squared norm overflows"
+        )
     return vector

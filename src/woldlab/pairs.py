@@ -20,7 +20,7 @@ from .certificates import (
     true_certificate,
     undecided_certificate,
 )
-from .config import DEFAULT_DEPTH, ORTHO_DROP_TOL, tolerance
+from .config import DEFAULT_DEPTH, ORTHO_DROP_TOL
 from .core import (
     Closure,
     HVector,
@@ -29,7 +29,7 @@ from .core import (
     commutes,
     compose,
     doubly_commutes,
-    lanes_reducing,
+    lane_components,
 )
 from .errors import PreconditionError
 
@@ -87,8 +87,8 @@ def h0_plus(v1: StructuredIsometry, v2: StructuredIsometry, h0: Subspace,
         vectors = [v2.apply(g) for g in vectors]
     cert = (true_certificate(depth, exact=True) if stabilized
             else undecided_certificate(depth))
-    v1_red = _window_reducing_certificate(v1, basis, depth)
-    v2_red = _window_reducing_certificate(v2, basis, depth)
+    v1_red = wold.reducing_certificate(v1, basis, depth)
+    v2_red = wold.reducing_certificate(v2, basis, depth)
     unitary_on = all(
         v1.apply(v1.apply_adjoint(b)).approx_equals(b, 1e-8)
         and v1.apply_adjoint(v1.apply(b)).approx_equals(b, 1e-8)
@@ -101,19 +101,6 @@ def h0_plus(v1: StructuredIsometry, v2: StructuredIsometry, h0: Subspace,
 
 def wandering_residual_basis(v1: StructuredIsometry, depth: int) -> list[HVector]:
     return list(wold.wandering_span_decompose(v1, depth).h0.generators)
-
-
-def _window_reducing_certificate(op, basis, depth) -> Certificate:
-    tol = max(tolerance(), 1e-9)
-    margin = op.max_offset() + 1
-    inner_depth = max(depth - margin, 1)
-    for idx in op.window_indices(inner_depth):
-        e = HVector([(idx, 1.0)])
-        lhs = _linalg.project(op.apply(e), basis)
-        rhs = op.apply(_linalg.project(e, basis))
-        if (lhs - rhs).norm() > tol:
-            return false_certificate(inner_depth, idx)
-    return true_certificate(inner_depth, exact=False)
 
 
 # -- iterated exhaustion -------------------------------------------------------
@@ -224,14 +211,10 @@ def _preimage_under(op: StructuredIsometry, basis) -> list[HVector]:
             m[i, j] = images[j].inner(basis[i])
     _, s, vh = np.linalg.svd(m - np.eye(k))
     rank = int(np.sum(s > 1e-8))
-    combos = [vh[r].conj() for r in range(rank, k)]
-    out = []
-    for coeffs in combos:
-        c = HVector.zero()
-        for a, b in zip(coeffs, basis):
-            c = c + b.scaled(a)
-        out.append(op.apply_adjoint(c))
-    return _linalg.mgs(out)
+    return _linalg.mgs([
+        op.apply_adjoint(_linalg.linear_combination(vh[r].conj(), basis))
+        for r in range(rank, k)
+    ])
 
 
 def _joint_shift_core(inner_op: StructuredIsometry,
@@ -320,27 +303,17 @@ class PairReport:
 def _shift_window_basis(op, wres, depth):
     """Basis of H_s ∩ window: window combinations fixed by the orbit-sum
     projection onto the shift part."""
-    window = op.window_indices(depth)
-    orbit_vectors = [
-        vec
-        for o in wold.shift_orbit_vectors(op, wres.shift_wandering_basis, depth)
-        for vec in o.vectors
-    ]
+    window = [HVector([(idx, 1.0)]) for idx in op.window_indices(depth)]
     residuals = []
-    for idx in window:
-        e = HVector([(idx, 1.0)])
+    for e in window:
         r = e
-        for ov in orbit_vectors:
+        for ov in wres.orbit_vectors:
             r = r - ov.scaled(e.inner(ov))
         residuals.append(r)
-    combos = _linalg.nullspace_combinations(residuals)
-    vectors = []
-    for coeffs in combos:
-        x = HVector.zero()
-        for a, idx in zip(coeffs, window):
-            x = x + HVector([(idx, a)])
-        vectors.append(x)
-    return _linalg.mgs(vectors)
+    return _linalg.mgs([
+        _linalg.linear_combination(coeffs, window)
+        for coeffs in _linalg.nullspace_combinations(residuals)
+    ])
 
 
 def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
@@ -362,8 +335,8 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
     exact = w1.exact and w2.exact
 
     def part(basis):
-        c1 = _window_reducing_certificate(v1, basis, depth)
-        c2 = _window_reducing_certificate(v2, basis, depth)
+        c1 = wold.reducing_certificate(v1, basis, depth)
+        c2 = wold.reducing_certificate(v2, basis, depth)
         if c1.is_true and c2.is_true:
             cert = true_certificate(depth, exact=exact)
         else:
@@ -371,18 +344,17 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
             cert = bad
         return PairPart(tuple(basis), cert)
 
-    def generators(op, wres, ws_basis):
+    def generators(wres, ws_basis):
         out = []
-        for orbit in wold.shift_orbit_vectors(op, wres.shift_wandering_basis, depth):
-            for vec in orbit.vectors:
-                p = _linalg.project(vec, ws_basis)
-                if not p.is_zero(1e-9):
-                    out.append(p)
+        for vec in wres.orbit_vectors:
+            p = _linalg.project(vec, ws_basis)
+            if not p.is_zero(1e-9):
+                out.append(p)
         return tuple(_linalg.mgs(out))
 
     gens = {
-        "v1": generators(v1, w1, ws),
-        "v2": generators(v2, w2, ws),
+        "v1": generators(w1, ws),
+        "v2": generators(w2, ws),
     }
     return PairReport(
         uu=part(uu), us=part(us), su=part(su), ws=part(ws),
@@ -393,11 +365,26 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
 # -- completely non doubly commuting ---------------------------------------------
 
 
-def _lane_subsets(lane_ids):
-    ids = sorted(lane_ids)
-    n = len(ids)
-    for mask in range(1, 2 ** n - 1):
-        yield [ids[i] for i in range(n) if mask >> i & 1]
+def _doubly_commuting_component(v1: StructuredIsometry,
+                                 v2: StructuredIsometry,
+                                 window: int) -> tuple[int, ...] | None:
+    """First proper lane component of the pair, by largest lane id, on which
+    the pair doubly commutes.
+
+    The lane sets reducing both operators are exactly the unions of the
+    components of their joint lane graph, and a pair doubly commutes on an
+    orthogonal sum exactly when it does on every summand, so single
+    components are the only candidates worth testing.
+    """
+    components = lane_components(v1, v2)
+    if len(components) < 2:
+        return None
+    for component in sorted(components, key=max):
+        r1 = v1.restricted_to_lanes(component)
+        r2 = v2.restricted_to_lanes(component)
+        if doubly_commutes(r1, r2, window).is_true:
+            return component
+    return None
 
 
 def is_completely_non_doubly_commuting(v1: StructuredIsometry,
@@ -406,7 +393,8 @@ def is_completely_non_doubly_commuting(v1: StructuredIsometry,
     """Search for a nonzero reducing subspace on which the pair doubly
     commutes: the whole space, the unitary-type parts of the pair
     decomposition (commuting with a unitary forces double commutation), and
-    every lane-graded reducing subspace.
+    the lane components of the pair (the components of the lane graph whose
+    edges are the tail rules and cross-lane columns of both operators).
 
     A true verdict is a certificate relative to that family, reported with
     ``exact=False``; false verdicts carry the witnessing subspace.
@@ -419,12 +407,7 @@ def is_completely_non_doubly_commuting(v1: StructuredIsometry,
     for label in ("uu", "us", "su"):
         if getattr(report, label).dim > 0:
             return false_certificate(window, ("subspace", label))
-    lane_ids = [l.lane_id for l in v1.lanes]
-    if len(lane_ids) > 1:
-        for subset in _lane_subsets(lane_ids):
-            if lanes_reducing(v1, subset) and lanes_reducing(v2, subset):
-                r1 = v1.restricted_to_lanes(subset)
-                r2 = v2.restricted_to_lanes(subset)
-                if doubly_commutes(r1, r2, window).is_true:
-                    return false_certificate(window, ("lanes", tuple(subset)))
+    component = _doubly_commuting_component(v1, v2, window)
+    if component is not None:
+        return false_certificate(window, ("lanes", component))
     return true_certificate(window, exact=False)

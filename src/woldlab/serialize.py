@@ -88,18 +88,6 @@ def wandering_span_to_jsonable(res) -> dict:
     }
 
 
-def extension_to_jsonable(res) -> dict:
-    op = res.operator
-    return {
-        "lanes": [
-            {"lane": l.lane_id, "kind": l.kind, "size": l.size, "label": l.label}
-            for l in op.lanes
-        ],
-        "lane_map": {str(k): v for k, v in sorted(res.lane_map.items())},
-        "new_lanes": list(res.new_lanes),
-    }
-
-
 def _fraction_str(f: Fraction) -> str:
     return str(f)
 
@@ -184,24 +172,4 @@ def pair_report_to_jsonable(report) -> dict:
             "v1": basis_to_jsonable(report.wandering_generators["v1"]),
             "v2": basis_to_jsonable(report.wandering_generators["v2"]),
         },
-    }
-
-
-def h0_plus_to_jsonable(res) -> dict:
-    return {
-        "subspace": subspace_to_jsonable(res.subspace),
-        "certificate": certificate_to_jsonable(res.certificate),
-        "v1_reducing": certificate_to_jsonable(res.v1_reducing),
-        "v2_reducing": certificate_to_jsonable(res.v2_reducing),
-        "v1_unitary_on": res.v1_unitary_on,
-        "depth": res.depth,
-    }
-
-
-def exhaust_to_jsonable(res) -> dict:
-    return {
-        "h1": subspace_to_jsonable(res.h1),
-        "iterations": res.iterations,
-        "certificate": certificate_to_jsonable(res.certificate),
-        "peeled_lanes": list(res.peeled_lanes),
     }

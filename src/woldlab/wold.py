@@ -122,7 +122,14 @@ def _support_signature(v: HVector):
 
 
 def _orbit(op: StructuredIsometry, x: HVector, steps: int,
-           ref_lo: int, ref_hi: int, backward: bool = False) -> OrbitRecord:
+           ref_lo: int | None, ref_hi: int | None,
+           backward: bool = False) -> OrbitRecord:
+    """Orbit of x under V (or V* when ``backward``); reference positions
+    default to the extent of x's support."""
+    if ref_lo is None or ref_hi is None:
+        positions = [idx.position for idx in x.support()] or [0]
+        ref_lo = min(positions) if ref_lo is None else ref_lo
+        ref_hi = max(positions) if ref_hi is None else ref_hi
     tol = tolerance()
     ctx = _EscapeContext(op, ref_lo, ref_hi, backward)
     step = op.apply_adjoint if backward else op.apply
@@ -153,26 +160,11 @@ def _orbit(op: StructuredIsometry, x: HVector, steps: int,
     return OrbitRecord(vectors, status, onset)
 
 
-def _support_bounds(x: HVector) -> tuple[int, int]:
-    positions = [idx.position for idx in x.support()]
-    if not positions:
-        return 0, 0
-    return min(positions), max(positions)
-
-
 def forward_orbit(op, x, steps, ref_lo=None, ref_hi=None) -> OrbitRecord:
-    if ref_lo is None or ref_hi is None:
-        lo, hi = _support_bounds(x)
-        ref_lo = lo if ref_lo is None else ref_lo
-        ref_hi = hi if ref_hi is None else ref_hi
-    return _orbit(op, x, steps, ref_lo, ref_hi, backward=False)
+    return _orbit(op, x, steps, ref_lo, ref_hi)
 
 
 def backward_orbit(op, x, steps, ref_lo=None, ref_hi=None) -> OrbitRecord:
-    if ref_lo is None or ref_hi is None:
-        lo, hi = _support_bounds(x)
-        ref_lo = lo if ref_lo is None else ref_lo
-        ref_hi = hi if ref_hi is None else ref_hi
     return _orbit(op, x, steps, ref_lo, ref_hi, backward=True)
 
 
@@ -203,12 +195,16 @@ def is_unitary(v: StructuredIsometry) -> bool:
 class WoldResult:
     """Wandering basis of the shift part plus a window basis of the unitary
     part.  ``exact`` means every kernel orbit earned a drift certificate, so
-    the window bases are the true H_s / H_u window intersections."""
+    the window bases are the true H_s / H_u window intersections.
+    ``orbit_vectors`` keeps the kernel orbits V^n w behind that verdict,
+    concatenated in generator order, so analyses built on the decomposition
+    need not recompute them."""
 
     shift_wandering_basis: tuple[HVector, ...]
     unitary_window_basis: tuple[HVector, ...]
     depth: int
     exact: bool
+    orbit_vectors: tuple[HVector, ...] = ()
 
     @property
     def verdict(self) -> str:
@@ -238,19 +234,33 @@ def wold_decompose(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
     orbits = shift_orbit_vectors(v, kernel, depth,
                                  steps=max(depth, orbit_depth or 0))
     exact = all(o.status == ESCAPED for o in orbits)
-    window_set = set(window)
-    constraints = []
-    for orbit in orbits:
-        for vec in orbit.vectors:
-            proj = vec.restricted_to(window_set)
-            if not proj.is_zero():
-                constraints.append(proj)
+    orbit_vectors = tuple(vec for o in orbits for vec in o.vectors)
     candidates = [HVector([(idx, 1.0)]) for idx in window]
-    unitary = _linalg.complement_basis(candidates, constraints)
-    return WoldResult(tuple(kernel), tuple(unitary), depth, exact)
+    unitary = _linalg.complement_basis(
+        candidates, _window_projections(orbit_vectors, window))
+    return WoldResult(tuple(kernel), tuple(unitary), depth, exact,
+                      orbit_vectors)
+
+
+def _window_projections(vectors, window) -> list[HVector]:
+    """Nonzero restrictions of the vectors to the window indices."""
+    window_set = set(window)
+    out = []
+    for vec in vectors:
+        proj = vec.restricted_to(window_set)
+        if not proj.is_zero():
+            out.append(proj)
+    return out
 
 
 # -- wandering vectors -------------------------------------------------------
+
+
+def _check_wandering_input(x: HVector, horizon: int) -> None:
+    if horizon < 1:
+        raise MalformedInputError("horizon must be positive")
+    if x.is_zero(tolerance()):
+        raise MalformedInputError("the zero vector cannot be wandering")
 
 
 def is_wandering(v: StructuredIsometry, x: HVector,
@@ -260,8 +270,7 @@ def is_wandering(v: StructuredIsometry, x: HVector,
     Exact when the orbit escapes (drift) or recurs (finite-lane pigeonhole)
     within the horizon; a violation is reported with its first exponent.
     """
-    if x.is_zero(tolerance()):
-        raise MalformedInputError("the zero vector cannot be wandering")
+    _check_wandering_input(x, horizon)
     orbit = forward_orbit(v, x, horizon)
     tol = tolerance()
     for n in range(1, len(orbit.vectors)):
@@ -291,8 +300,7 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
     reduces every untested mixed or backward pair to a certified forward one
     or to zero.
     """
-    if x.is_zero(tolerance()):
-        raise MalformedInputError("the zero vector cannot be wandering")
+    _check_wandering_input(x, horizon)
     tol = tolerance()
     if is_unitary(v):
         orbit = forward_orbit(v, x, 2 * horizon)
@@ -358,6 +366,7 @@ class WanderingSpanResult:
     certificate: Certificate
     reducing: Certificate
     depth: int
+    wold: WoldResult
 
     @property
     def exact(self) -> bool:
@@ -401,16 +410,9 @@ def wandering_span_decompose(v: StructuredIsometry,
     reaches into a recurrent H0.
     """
     wres = wold_decompose(v, depth)
-    window = v.window_indices(depth)
-    window_set = set(window)
-    orbits = shift_orbit_vectors(v, wres.shift_wandering_basis, depth)
-    orbit_vectors = [vec for o in orbits for vec in o.vectors]
-    shift_window = []
-    for vec in orbit_vectors:
-        proj = vec.restricted_to(window_set)
-        if not proj.is_zero():
-            shift_window.append(proj)
-    u_parts = _wandering_unitary_parts(v, orbit_vectors, depth)
+    shift_window = _window_projections(wres.orbit_vectors,
+                                       v.window_indices(depth))
+    u_parts = _wandering_unitary_parts(v, wres.orbit_vectors, depth)
     span_u = _linalg.mgs(u_parts)
     h0_basis = _linalg.complement_basis(wres.unitary_window_basis, span_u)
     hw_basis = _linalg.mgs(shift_window + span_u)
@@ -422,7 +424,7 @@ def wandering_span_decompose(v: StructuredIsometry,
     exact = wres.exact and residual_recurrent
     verdict_cert = (true_certificate(depth, exact=True) if exact
                     else undecided_certificate(depth))
-    reducing = _reducing_certificate(v, h0_basis, depth)
+    reducing = reducing_certificate(v, h0_basis, depth)
     closure = Closure("forward_orbit", v.name) if v.name else Closure()
     return WanderingSpanResult(
         h0=Subspace(h0_basis, Closure()),
@@ -430,10 +432,11 @@ def wandering_span_decompose(v: StructuredIsometry,
         certificate=verdict_cert,
         reducing=reducing,
         depth=depth,
+        wold=wres,
     )
 
 
-def _reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificate:
+def reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificate:
     """Check P V = V P on an inner window (the margin keeps V from crossing
     the window edge, which would only measure truncation)."""
     tol = max(tolerance(), 1e-9)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from woldlab import cli
+from woldlab import cli, wold
 
 
 def run_cli(capsys, *args):
@@ -250,3 +250,64 @@ def test_text_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert "non-constant multiplicity" in out_file.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ("wold", "--input", "catalog:shift", "--depth", "abc"),
+    ("wold",),
+    ("frobnicate",),
+    ("wander", "--input", "catalog:shift", "--vector", "0:0=1", "--depth", "8"),
+    ("spectral", "--input", "catalog:kerchy", "--depth", "8"),
+])
+def test_usage_errors_exit_invalid(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == cli.INVALID
+    assert out == ""
+    assert "error" in err
+
+
+def test_help_exits_ok(capsys):
+    code, out, _ = run_cli(capsys, "wold", "--help")
+    assert code == cli.OK
+    assert "--depth" in out
+
+
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+def test_wander_rejects_nonpositive_horizon(capsys, horizon):
+    for strong in ((), ("--strong",)):
+        code, out, err = run_cli(
+            capsys, "wander", "--input", "catalog:shift", "--vector", "0:0=1",
+            "--horizon", horizon, *strong,
+        )
+        assert code == cli.INVALID
+        assert out == ""
+        assert err == "error: horizon must be positive\n"
+
+
+@pytest.mark.parametrize("vector", [
+    "0:0=1e300,0:1=1e300", "0:0=1e200", "0:0=inf", "0:0=nan",
+    "0:0=1+nani", "0:0=1e308,0:0=1e308",
+])
+def test_wander_rejects_non_finite_vector(capsys, vector):
+    code, out, err = run_cli(
+        capsys, "wander", "--input", "catalog:shift", "--vector", vector,
+    )
+    assert code == cli.INVALID
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_wold_runs_one_decomposition(capsys, monkeypatch):
+    calls = []
+    decompose = wold.wold_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(wold, "wold_decompose", counted)
+    code, _, _ = run_cli(
+        capsys, "wold", "--input", "catalog:fixed_plus_shift", "--depth", "16",
+    )
+    assert code == cli.OK
+    assert len(calls) == 1

@@ -2,13 +2,29 @@
 weak bi-shift classification, the four-part decomposition, and the search
 for doubly-commuting reducing subspaces."""
 
+import random
+
 import pytest
 
 from conftest import catalog_pairs
-from woldlab import catalog
-from woldlab.core import Closure, HVector, Subspace, doubly_commutes, inner
+from woldlab import catalog, pairs, wold
+from woldlab.certificates import false_certificate, true_certificate
+from woldlab.core import (
+    BasisIndex,
+    Closure,
+    HVector,
+    LaneSpec,
+    StructuredIsometry,
+    Subspace,
+    TailRule,
+    doubly_commutes,
+    inner,
+    lane_components,
+    lanes_reducing,
+)
 from woldlab.errors import PreconditionError
 from woldlab.pairs import (
+    _doubly_commuting_component,
     exhaust_h0,
     h0_plus,
     is_completely_non_doubly_commuting,
@@ -244,3 +260,170 @@ def test_ncdc_fixed_plus_shift(fixed_plus_shift):
     )
     assert cert.is_false
     assert cert.witness == ("subspace", "uu")
+
+
+# -- lane-component search against the 2^n subset scan ------------------------------
+
+
+PHASES = [1.0, -1.0, 1j, -1j]
+
+
+def _block(py, ids, kind):
+    """One commuting pair on the fresh lanes ``ids`` (two for "swap" and
+    "rows", one otherwise): (lanes, (columns, rules) of V1, same of V2)."""
+    lane, other = ids[0], ids[-1]
+    if kind == "phases":
+        size = py.randint(1, 2)
+        lanes = [LaneSpec(lane, "finite", size)]
+        ops = [({BasisIndex(lane, p): HVector([(BasisIndex(lane, p), py.choice(PHASES))])
+                 for p in range(size)}, []) for _ in range(2)]
+    elif kind == "cycle":
+        size = py.randint(2, 3)
+        lanes = [LaneSpec(lane, "finite", size)]
+        ops = [({BasisIndex(lane, p): HVector.basis(lane, (p + step) % size)
+                 for p in range(size)}, [])
+               for step in (py.randint(1, size - 1), py.randint(0, size - 1))]
+    elif kind == "shifts":
+        # lambda S^a, mu S^b: doubly commuting only when b = 0
+        lanes = [LaneSpec(lane, "naturals")]
+        ops = [({}, [TailRule(lane, 0, lane, off, py.choice(PHASES))])
+               for off in (py.randint(1, 2), py.choice([0, 1, 2, 3]))]
+    elif kind == "swap":
+        # one operator swaps two one-point lanes, the other is a phase
+        lanes = [LaneSpec(lane, "finite", 1), LaneSpec(other, "finite", 1)]
+        swap = {BasisIndex(lane, 0): HVector.basis(other, 0),
+                BasisIndex(other, 0): HVector.basis(lane, 0)}
+        mu = py.choice(PHASES)
+        scalar = {idx: HVector([(idx, mu)]) for idx in swap}
+        ops = [(swap, []), (scalar, [])]
+        py.shuffle(ops)
+    else:
+        # rows: V1 shifts both rows, V2 swaps them, shifting when offset 1
+        lanes = [LaneSpec(lane, "naturals"), LaneSpec(other, "naturals")]
+        off = py.randint(0, 1)
+        ops = [({}, [TailRule(lane, 0, lane, 1), TailRule(other, 0, other, 1)]),
+               ({}, [TailRule(lane, 0, other, off), TailRule(other, 0, lane, off)])]
+    return lanes, ops[0], ops[1]
+
+
+def _assemble(blocks):
+    lanes, parts = [], ([{}, []], [{}, []])
+    for block_lanes, *ops in blocks:
+        lanes.extend(block_lanes)
+        for (cols, rules), (acc_cols, acc_rules) in zip(ops, parts):
+            acc_cols.update(cols)
+            acc_rules.extend(rules)
+    return tuple(StructuredIsometry(lanes, cols, rules) for cols, rules in parts)
+
+
+def _random_commuting_pair(seed):
+    """Direct sum of random commuting blocks over 2 to 4 lanes in total."""
+    py = random.Random(seed)
+    target = py.randint(2, 4)
+    ids = list(range(target))
+    # shuffled ids make components interleave, e.g. {0, 2} and {1}
+    py.shuffle(ids)
+    blocks = []
+    while ids:
+        kinds = ["phases", "cycle", "shifts"]
+        if len(ids) >= 2:
+            kinds += ["swap", "rows"]
+        kind = py.choice(kinds)
+        width = 2 if kind in ("swap", "rows") else 1
+        blocks.append(_block(py, ids[:width], kind))
+        del ids[:width]
+    return _assemble(blocks)
+
+
+def _brute_force_lanes(v1, v2, window):
+    """Every proper lane subset in mask order, as the 2^n search did."""
+    ids = sorted(l.lane_id for l in v1.lanes)
+    for mask in range(1, 2 ** len(ids) - 1):
+        subset = [ids[i] for i in range(len(ids)) if mask >> i & 1]
+        if lanes_reducing(v1, subset) and lanes_reducing(v2, subset):
+            r1 = v1.restricted_to_lanes(subset)
+            r2 = v2.restricted_to_lanes(subset)
+            if doubly_commutes(r1, r2, window).is_true:
+                return tuple(subset)
+    return None
+
+
+def _brute_force_ncdc(v1, v2, window):
+    if doubly_commutes(v1, v2, window).is_true:
+        return false_certificate(window, ("subspace", "whole space"))
+    report = pair_decompose(v1, v2, depth=min(window, 24))
+    for label in ("uu", "us", "su"):
+        if getattr(report, label).dim > 0:
+            return false_certificate(window, ("subspace", label))
+    subset = _brute_force_lanes(v1, v2, window)
+    if subset is not None:
+        return false_certificate(window, ("lanes", subset))
+    return true_certificate(window, exact=False)
+
+
+def test_component_search_skips_the_lowest_lane():
+    blocks = [([LaneSpec(0, "naturals")], ({}, [TailRule(0, 0, 0, 2)]),
+               ({}, [TailRule(0, 0, 0, 3)])),
+              _block(random.Random(0), [1], "phases")]
+    v1, v2 = _assemble(blocks)
+    assert _brute_force_lanes(v1, v2, 8) == (1,)
+    assert _doubly_commuting_component(v1, v2, 8) == (1,)
+
+
+def test_component_search_matches_subset_scan():
+    hits, interleaved = set(), False
+    for seed in range(60):
+        v1, v2 = _random_commuting_pair(seed)
+        expected = _brute_force_lanes(v1, v2, 8)
+        assert _doubly_commuting_component(v1, v2, 8) == expected, seed
+        hits.add(expected if expected is None else min(expected) > 0)
+        components = lane_components(v1, v2)
+        interleaved |= any(min(a) < min(b) and max(a) > max(b)
+                           for a in components for b in components)
+        cert = is_completely_non_doubly_commuting(v1, v2, 8)
+        oracle = _brute_force_ncdc(v1, v2, 8)
+        assert (cert.verdict, cert.witness, cert.exact) == \
+            (oracle.verdict, oracle.witness, oracle.exact), seed
+    # the seeds cover no hit, a hit at lane 0, a hit past it, and components
+    # whose order by largest lane id differs from their order by smallest
+    assert hits == {None, False, True} and interleaved
+
+
+# -- one orbit computation per Wold analysis ---------------------------------------
+
+
+@pytest.fixture
+def orbit_calls_outside_wold(monkeypatch):
+    """Counts shift_orbit_vectors calls not made by wold_decompose itself."""
+    calls, depth = [], [0]
+    decompose, orbits = wold.wold_decompose, wold.shift_orbit_vectors
+
+    def counted_decompose(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return decompose(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_orbits(*args, **kwargs):
+        if not depth[0]:
+            calls.append(args)
+        return orbits(*args, **kwargs)
+
+    monkeypatch.setattr(wold, "wold_decompose", counted_decompose)
+    monkeypatch.setattr(wold, "shift_orbit_vectors", counted_orbits)
+    return calls
+
+
+def test_pair_decompose_reuses_wold_orbits(orbit_calls_outside_wold):
+    v1, v2 = catalog.grid_pair()
+    pairs.pair_decompose(v1, v2, 16)
+    pairs.pair_decompose(S(2), S(3), 16)
+    assert orbit_calls_outside_wold == []
+
+
+def test_wandering_span_reuses_wold_orbits(orbit_calls_outside_wold,
+                                           fixed_plus_shift):
+    res = wold.wandering_span_decompose(fixed_plus_shift, 16)
+    assert orbit_calls_outside_wold == []
+    assert res.wold.orbit_vectors

@@ -136,6 +136,13 @@ def test_zero_vector_rejected(shift):
         is_wandering(shift, HVector.zero(), 8)
 
 
+@pytest.mark.parametrize("check", [is_wandering, is_strongly_wandering])
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_nonpositive_horizon_rejected(shift, check, horizon):
+    with pytest.raises(MalformedInputError, match="horizon"):
+        check(shift, basis(0, 0), horizon)
+
+
 def test_wandering_randomized_against_definition():
     for seed in range(40):
         op = catalog.bilateral_plus_shift()
