@@ -1,43 +1,138 @@
-"""Sparse-vector orthonormalization and small subspace arithmetic.
+"""Dense window kernel for subspace arithmetic on sparse vectors.
 
-Bases are produced by modified Gram-Schmidt in input order with a fixed
-drop threshold, so repeated runs give identical output (the determinism
-contract of the reports rests on this).
+Every routine converts its input families once to a dense complex matrix
+over a ``Window`` (the sorted joint support of the inputs, one row per
+``BasisIndex``), does all of its work there with numpy, and converts the
+result back to ``HVector`` once.  ``HVector`` stays the type at the operator
+boundary; nothing here applies an operator.
+
+Generated bases come from one sweep, ``_extend``: classical Gram-Schmidt in
+input order with two projections per column ("twice is enough").  A column
+is kept when its residual norm reaches the drop threshold, and is then
+normalized, projected once more and normalized again, so near-dependent
+inputs cannot leak their rounding noise into the basis.  The fixed
+threshold and order make bases canonical: two runs in the same environment
+give identical output.  Matrix products go through BLAS, so the last digits
+of coefficients can depend on the BLAS build and its thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import ORTHO_DROP_TOL
+from .config import (
+    NULLSPACE_ATOL,
+    NULLSPACE_RTOL,
+    ORTHO_DROP_TOL,
+    PRUNE_TOL,
+    SPAN_RANK_TOL,
+)
 from .core import HVector
 
-
-def orthogonal_residual(x: HVector, basis) -> HVector:
-    """x minus its projection onto an orthonormal family, two MGS passes."""
-    r = x
-    for _ in range(2):
-        for b in basis:
-            r = r - b.scaled(r.inner(b))
-    return r
+# columns per in-place projection block: bounds the temporaries of
+# ``block -= q @ (q^H @ block)`` to (basis + 2 rows) x _BLOCK entries
+_BLOCK = 64
 
 
-def _purified_unit(r: HVector, basis) -> HVector:
-    # normalizing a barely-surviving residual amplifies rounding noise, so
-    # orthogonalize once more after scaling
-    u = r.scaled(1.0 / r.norm())
-    u = orthogonal_residual(u, basis)
-    return u.scaled(1.0 / u.norm())
+class Window:
+    """Sorted joint support of some vector families, one row per index."""
+
+    __slots__ = ("indices", "row")
+
+    def __init__(self, *families):
+        self.indices = sorted({idx for family in families for v in family
+                               for idx in v._entries})
+        self.row = {idx: i for i, idx in enumerate(self.indices)}
+
+    def matrix(self, vectors) -> np.ndarray:
+        """The vectors as the columns of a dense matrix over the window."""
+        a = np.zeros((len(self.indices), len(vectors)), dtype=complex)
+        row = self.row
+        for j, v in enumerate(vectors):
+            for idx, c in v._entries.items():
+                a[row[idx], j] = c
+        return a
+
+    def vectors(self, a: np.ndarray, prune: float = PRUNE_TOL) -> list[HVector]:
+        """The columns of a dense matrix as vectors, entries at or below
+        ``prune`` in modulus dropped."""
+        indices = self.indices
+        out = []
+        for col in a.T:
+            v = object.__new__(HVector)
+            v._entries = {indices[i]: complex(col[i])
+                          for i in np.flatnonzero(np.abs(col) > prune)}
+            out.append(v)
+        return out
+
+
+def blocks(a: np.ndarray):
+    """(first column, view) of ``a`` in column blocks, for in-place updates
+    and for products whose temporaries should stay small."""
+    for start in range(0, a.shape[1], _BLOCK):
+        yield start, a[:, start:start + _BLOCK]
+
+
+def _coefficients(q: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """q^H @ block, conjugating the block rather than copying all of q."""
+    return (block.conj().T @ q).conj().T
+
+
+def _project_out(a: np.ndarray, q: np.ndarray, passes: int = 2) -> None:
+    """Subtract from each column of ``a``, in place, its projection onto the
+    orthonormal columns of ``q``, ``passes`` times."""
+    if q.shape[1] == 0:
+        return
+    for _, block in blocks(a):
+        for _ in range(passes):
+            block -= q @ _coefficients(q, block)
+
+
+def _extend(q: np.ndarray, a: np.ndarray, drop_tol: float) -> np.ndarray:
+    """Orthonormal columns extending the orthonormal ``q`` to span the
+    columns of ``a`` as well, swept in input order; only the new columns
+    are returned."""
+    rows, start = q.shape
+    buf = np.empty((rows, min(rows, start + a.shape[1])), dtype=complex,
+                   order="F")
+    buf[:, :start] = q
+    k = start
+    for j in range(a.shape[1]):
+        if k == buf.shape[1]:
+            break  # the basis spans the window; every residual is noise
+        b = buf[:, :k]
+        r = a[:, j].copy()
+        for _ in range(2):
+            r -= b @ (r.conj() @ b).conj()
+        norm = np.linalg.norm(r)
+        if norm >= drop_tol:
+            # normalizing a barely-surviving residual amplifies rounding
+            # noise, so orthogonalize once more after scaling
+            r /= norm
+            r -= b @ (r.conj() @ b).conj()
+            r /= np.linalg.norm(r)
+            buf[:, k] = r
+            k += 1
+    return buf[:, start:k]
+
+
+def _nullspace(a: np.ndarray, atol: float = NULLSPACE_ATOL) -> np.ndarray:
+    """Orthonormal columns c with a @ c = 0, up to the numerical rank."""
+    rows, n = a.shape
+    if rows == 0:
+        return np.eye(n, dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < n)
+    cutoff = max(atol, float(s[0]) * NULLSPACE_RTOL) if s.size else atol
+    rank = int(np.sum(s > cutoff))
+    return vh[rank:].conj().T
 
 
 def mgs(vectors, drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
     """Orthonormal basis of the span, in input order."""
-    basis: list[HVector] = []
-    for v in vectors:
-        r = orthogonal_residual(v, basis)
-        if r.norm() >= drop_tol:
-            basis.append(_purified_unit(r, basis))
-    return basis
+    vectors = list(vectors)
+    win = Window(vectors)
+    empty = np.zeros((len(win.indices), 0), dtype=complex)
+    return win.vectors(_extend(empty, win.matrix(vectors), drop_tol))
 
 
 def orthonormal_span(vectors) -> list[HVector]:
@@ -48,51 +143,14 @@ def orthonormal_span(vectors) -> list[HVector]:
     fully projected out; generated bases go through ``mgs`` instead so their
     order stays canonical.
     """
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
+    vectors = list(vectors)
+    win = Window(vectors)
+    if not win.indices:
         return []
-    support = sorted({idx for v in vectors for idx in v.support()})
-    pos = {idx: i for i, idx in enumerate(support)}
-    a = np.zeros((len(support), len(vectors)), dtype=complex)
-    for j, v in enumerate(vectors):
-        for idx, c in v.items():
-            a[pos[idx], j] = c
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = max(1e-12, float(s[0]) * 1e-12) if s.size else 1e-12
+    u, s, _ = np.linalg.svd(win.matrix(vectors), full_matrices=False)
+    cutoff = max(SPAN_RANK_TOL, float(s[0]) * SPAN_RANK_TOL)
     rank = int(np.sum(s > cutoff))
-    out = []
-    for k in range(rank):
-        entries = [(support[i], complex(u[i, k]))
-                   for i in range(len(support)) if u[i, k] != 0]
-        out.append(HVector(entries, tol=0.0))
-    return out
-
-
-def _presieve_candidates(candidates, wall, drop_tol):
-    """Drop candidates whose residual against the wall alone is already
-    below the threshold; adding more basis vectors only shrinks residuals,
-    so the discard is sound."""
-    support = sorted({idx for v in wall for idx in v.support()})
-    pos = {idx: i for i, idx in enumerate(support)}
-    w = np.zeros((len(wall), len(support)), dtype=complex)
-    for i, v in enumerate(wall):
-        for idx, c in v.items():
-            w[i, pos[idx]] = c
-    survivors = []
-    for cand in candidates:
-        arr = np.zeros(len(support), dtype=complex)
-        outside = 0.0
-        for idx, c in cand.items():
-            if idx in pos:
-                arr[pos[idx]] = c
-            else:
-                outside += abs(c) ** 2
-        overlap = w.conj() @ arr
-        resid2 = float(np.vdot(arr, arr).real - np.vdot(overlap, overlap).real) \
-            + outside
-        if resid2 >= (0.5 * drop_tol) ** 2:
-            survivors.append(cand)
-    return survivors
+    return win.vectors(u[:, :rank], prune=0.0)
 
 
 def complement_basis(candidates, constraints,
@@ -102,64 +160,64 @@ def complement_basis(candidates, constraints,
     Candidates are swept in order; whatever survives orthogonalization
     against the constraints (and the part already kept) is added.
     """
-    wall = orthonormal_span(constraints)
     candidates = list(candidates)
-    if len(wall) * len(candidates) > 512:
-        candidates = _presieve_candidates(candidates, wall, drop_tol)
-    out: list[HVector] = []
-    for c in candidates:
-        r = orthogonal_residual(c, wall + out)
-        if r.norm() >= drop_tol:
-            out.append(_purified_unit(r, wall + out))
-    return out
+    wall = orthonormal_span(constraints)
+    win = Window(candidates, wall)
+    return win.vectors(
+        _extend(win.matrix(wall), win.matrix(candidates), drop_tol))
 
 
-def project(x: HVector, basis) -> HVector:
-    out = HVector.zero()
-    for b in basis:
-        out = out + b.scaled(x.inner(b))
-    return out
+def orthogonal_residual(vectors, basis) -> list[HVector]:
+    """Each vector minus its projection onto an orthonormal family, two
+    classical Gram-Schmidt passes."""
+    vectors = list(vectors)
+    win = Window(vectors, basis)
+    a = win.matrix(vectors)
+    _project_out(a, win.matrix(basis))
+    return win.vectors(a)
+
+
+def project(vectors, basis) -> list[HVector]:
+    """Orthogonal projection of each vector onto an orthonormal family."""
+    vectors = list(vectors)
+    win = Window(vectors, basis)
+    a, q = win.matrix(vectors), win.matrix(basis)
+    for _, block in blocks(a):
+        block[...] = q @ _coefficients(q, block)
+    return win.vectors(a)
 
 
 def span_residual_norm(x: HVector, basis) -> float:
-    return orthogonal_residual(x, basis).norm()
+    return orthogonal_residual([x], basis)[0].norm()
 
 
-def nullspace_combinations(vectors, atol: float = 1e-8) -> list[np.ndarray]:
-    """Coefficient vectors a with sum_i a_i * vectors[i] = 0.
-
-    Works over the joint support via a small dense SVD.
-    """
-    support = sorted({idx for v in vectors for idx in v.support()})
-    n = len(vectors)
-    if n == 0:
-        return []
-    if not support:
-        return [row for row in np.eye(n, dtype=complex)]
-    pos = {idx: i for i, idx in enumerate(support)}
-    a = np.zeros((len(support), n), dtype=complex)
-    for j, v in enumerate(vectors):
-        for idx, c in v.items():
-            a[pos[idx], j] = c
-    _, s, vh = np.linalg.svd(a)
-    cutoff = max(atol, (s[0] * 1e-10 if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    return [vh[k].conj() for k in range(rank, n)]
+def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL) -> np.ndarray:
+    """Coefficient matrix whose columns a satisfy sum_i a_i * vectors[i] = 0,
+    orthonormal and spanning all such combinations up to the numerical
+    rank.  Works over the joint support via one dense SVD."""
+    vectors = list(vectors)
+    win = Window(vectors)
+    return _nullspace(win.matrix(vectors), atol)
 
 
-def linear_combination(coeffs, vectors) -> HVector:
-    """sum_i coeffs[i] * vectors[i], accumulated left to right."""
-    out = HVector.zero()
-    for a, v in zip(coeffs, vectors):
-        out = out + v.scaled(a)
-    return out
+def combinations(coeffs: np.ndarray, vectors) -> list[HVector]:
+    """sum_i coeffs[i, k] * vectors[i] for each column k of ``coeffs``."""
+    vectors = list(vectors)
+    win = Window(vectors)
+    return win.vectors(win.matrix(vectors) @ coeffs)
 
 
 def intersect_spans(basis_a, basis_b,
                     drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
-    """Orthonormal basis of span(basis_a) ∩ span(basis_b)."""
+    """Orthonormal basis of span(basis_a) ∩ span(basis_b): the combinations
+    of ``basis_a`` whose residual against ``basis_b`` vanishes."""
+    basis_a = list(basis_a)
     if not basis_a or not basis_b:
         return []
-    residuals = [orthogonal_residual(v, basis_b) for v in basis_a]
-    return mgs([linear_combination(coeffs, basis_a)
-                for coeffs in nullspace_combinations(residuals)], drop_tol)
+    win = Window(basis_a, basis_b)
+    a = win.matrix(basis_a)
+    residual = a.copy()
+    _project_out(residual, win.matrix(basis_b))
+    inside = a @ _nullspace(residual)
+    empty = np.zeros((len(win.indices), 0), dtype=complex)
+    return win.vectors(_extend(empty, inside, drop_tol))

@@ -23,9 +23,12 @@ is finite dimensional and computable exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .certificates import Certificate, false_certificate, true_certificate
 from .config import PRUNE_TOL, tolerance
@@ -258,6 +261,45 @@ class Closure:
             raise MalformedInputError("orbit closures must name their operator")
 
 
+def _check_orthonormal(gens: tuple[HVector, ...], tol: float = 1e-6) -> None:
+    """Raise on the first generator, in loop order (the norm of i, then the
+    pairs (j, i) with j < i), that is not unit or not orthogonal to an
+    earlier one.
+
+    The Gram matrix over the joint support, taken in blocks of rows so its
+    temporaries stay small, finds the suspects; each is then re-measured
+    with the sparse inner product, so the verdict and the message are those
+    of the plain loop.
+    """
+    from ._linalg import Window, blocks
+
+    win = Window(gens)
+    a = win.matrix(gens)
+    # rounding separates the two products by far less than half the bound
+    loose = 0.5 * tol
+    for start, block in blocks(a):
+        # gram[r, j] = <g_j, g_(start + r)> for j < start + len(block)
+        gram = block.conj().T @ a[:, :start + block.shape[1]]
+        diag = np.arange(block.shape[1])
+        suspect = np.tril(np.abs(gram) > loose, k=start - 1)
+        suspect[diag, start + diag] = \
+            np.abs(np.sqrt(gram[diag, start + diag].real) - 1.0) > loose
+        for r in np.flatnonzero(suspect.any(axis=1)):
+            i = start + int(r)
+            g = gens[i]
+            if suspect[r, i] and abs(g.norm() - 1.0) > tol:
+                raise MalformedInputError(
+                    f"subspace generator {i} is not unit: norm = {g.norm()}"
+                )
+            for j in np.flatnonzero(suspect[r, :i]):
+                overlap = abs(gens[j].inner(g))
+                if overlap > tol:
+                    raise MalformedInputError(
+                        f"subspace generators {j} and {i} are not orthogonal: "
+                        f"|<g{j},g{i}>| = {overlap}"
+                    )
+
+
 class Subspace:
     """An orthonormal generator list plus a closure tag."""
 
@@ -265,18 +307,7 @@ class Subspace:
 
     def __init__(self, generators: Iterable[HVector], closure: Closure = Closure()):
         gens = tuple(generators)
-        for i, g in enumerate(gens):
-            if abs(g.norm() - 1.0) > 1e-6:
-                raise MalformedInputError(
-                    f"subspace generator {i} is not unit: norm = {g.norm()}"
-                )
-            for j in range(i):
-                overlap = abs(gens[j].inner(g))
-                if overlap > 1e-6:
-                    raise MalformedInputError(
-                        f"subspace generators {j} and {i} are not orthogonal: "
-                        f"|<g{j},g{i}>| = {overlap}"
-                    )
+        _check_orthonormal(gens)
         self.generators = gens
         self.closure = closure
 
@@ -286,6 +317,19 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, closure={self.closure.kind})"
+
+
+# longest index list an error message spells out
+_LISTED = 10
+
+
+def _listed(first, total: int) -> str:
+    """``[a, b, ...]`` of the listed indices, plus how many were left out."""
+    first = list(first)
+    text = "[" + ", ".join(map(repr, first)) + "]"
+    if total > len(first):
+        text += f" … and {total - len(first)} more"
+    return text
 
 
 class StructuredIsometry:
@@ -434,21 +478,54 @@ class StructuredIsometry:
 
     # -- validation ---------------------------------------------------------
 
-    def _required_explicit_sources(self) -> set[BasisIndex]:
-        required: set[BasisIndex] = set()
+    def _required_source_ranges(self) -> dict[int, range]:
+        """Positions that need an explicit column, per lane in id order: all
+        of a finite lane, and whatever its tail rule leaves uncovered on an
+        infinite one."""
+        ranges: dict[int, range] = {}
         for lane in self.lanes:
             if lane.is_finite:
-                required.update(BasisIndex(lane.lane_id, p) for p in range(lane.size))
+                ranges[lane.lane_id] = range(lane.size)
                 continue
             rule = self._rule_by_source.get(lane.lane_id)
             if rule is None:
                 continue  # reported by _validate
             if lane.kind == NATURALS:
-                positions = range(0, rule.threshold)
+                ranges[lane.lane_id] = range(0, rule.threshold)
             else:
-                positions = range(-rule.threshold + 1, rule.threshold)
-            required.update(BasisIndex(lane.lane_id, p) for p in positions)
-        return required
+                ranges[lane.lane_id] = range(-rule.threshold + 1, rule.threshold)
+        return ranges
+
+    def _check_explicit_sources(self) -> None:
+        """The explicit columns must sit exactly on the required sources.
+
+        Counted by range arithmetic instead of materializing the required
+        set, so a huge tail threshold fails at once; the message lists at
+        most ``_LISTED`` indices of each kind.
+        """
+        ranges = self._required_source_ranges()
+        got = self.explicit_columns
+        extra = sorted(
+            idx for idx in got
+            if idx.lane not in ranges or idx.position not in ranges[idx.lane]
+        )
+        missing_count = (sum(len(r) for r in ranges.values())
+                         - (len(got) - len(extra)))
+        if not missing_count and not extra:
+            return
+        detail = []
+        if missing_count:
+            missing = (BasisIndex(lane_id, p)
+                       for lane_id, positions in ranges.items()
+                       for p in positions
+                       if BasisIndex(lane_id, p) not in got)
+            detail.append("missing columns for "
+                          + _listed(itertools.islice(missing, _LISTED),
+                                    missing_count))
+        if extra:
+            detail.append("unexpected columns for "
+                          + _listed(extra[:_LISTED], len(extra)))
+        raise InvalidOperatorError("; ".join(detail))
 
     def _validate(self, tol: float) -> None:
         ids = [l.lane_id for l in self.lanes]
@@ -501,17 +578,7 @@ class StructuredIsometry:
                 "tail-rule targets must exhaust the infinite lanes"
             )
 
-        required = self._required_explicit_sources()
-        got = set(self.explicit_columns)
-        if got != required:
-            missing = sorted(required - got)
-            extra = sorted(got - required)
-            detail = []
-            if missing:
-                detail.append(f"missing columns for {missing}")
-            if extra:
-                detail.append(f"unexpected columns for {extra}")
-            raise InvalidOperatorError("; ".join(detail))
+        self._check_explicit_sources()
 
         ordered = sorted(self.explicit_columns)
         for src in ordered:

@@ -20,7 +20,12 @@ from .certificates import (
     true_certificate,
     undecided_certificate,
 )
-from .config import DEFAULT_DEPTH, ORTHO_DROP_TOL
+from .config import (
+    DEFAULT_DEPTH,
+    GENERATOR_ZERO_TOL,
+    H0_MEMBERSHIP_TOL,
+    PREIMAGE_RANK_TOL,
+)
 from .core import (
     Closure,
     HVector,
@@ -65,22 +70,18 @@ def h0_plus(v1: StructuredIsometry, v2: StructuredIsometry, h0: Subspace,
     _require_commuting(v1, v2, depth)
     if not _checked and h0.generators:
         wsd = wandering_residual_basis(v1, depth)
-        for g in h0.generators:
-            if _linalg.span_residual_norm(g, wsd) > 1e-6:
-                raise PreconditionError(
-                    "h0_plus input is not inside the wandering-span residual"
-                )
+        residuals = _linalg.orthogonal_residual(h0.generators, wsd)
+        if any(r.norm() > H0_MEMBERSHIP_TOL for r in residuals):
+            raise PreconditionError(
+                "h0_plus input is not inside the wandering-span residual"
+            )
     basis: list[HVector] = []
     stabilized = False
     vectors = list(h0.generators)
     for _ in range(depth + 1):
-        grew = False
-        for g in vectors:
-            r = _linalg.orthogonal_residual(g, basis)
-            if r.norm() >= ORTHO_DROP_TOL:
-                basis.append(r.scaled(1.0 / r.norm()))
-                grew = True
-        if not grew:
+        grown = _linalg.complement_basis(vectors, basis)
+        basis += grown
+        if not grown:
             # V2(span) adds nothing, and the span is V2-invariant from here on
             stabilized = True
             break
@@ -210,10 +211,10 @@ def _preimage_under(op: StructuredIsometry, basis) -> list[HVector]:
         for i in range(k):
             m[i, j] = images[j].inner(basis[i])
     _, s, vh = np.linalg.svd(m - np.eye(k))
-    rank = int(np.sum(s > 1e-8))
+    rank = int(np.sum(s > PREIMAGE_RANK_TOL))
     return _linalg.mgs([
-        op.apply_adjoint(_linalg.linear_combination(vh[r].conj(), basis))
-        for r in range(rank, k)
+        op.apply_adjoint(c)
+        for c in _linalg.combinations(vh[rank:].conj().T, basis)
     ])
 
 
@@ -304,16 +305,9 @@ def _shift_window_basis(op, wres, depth):
     """Basis of H_s ∩ window: window combinations fixed by the orbit-sum
     projection onto the shift part."""
     window = [HVector([(idx, 1.0)]) for idx in op.window_indices(depth)]
-    residuals = []
-    for e in window:
-        r = e
-        for ov in wres.orbit_vectors:
-            r = r - ov.scaled(e.inner(ov))
-        residuals.append(r)
-    return _linalg.mgs([
-        _linalg.linear_combination(coeffs, window)
-        for coeffs in _linalg.nullspace_combinations(residuals)
-    ])
+    residuals = _linalg.orthogonal_residual(window, wres.orbit_vectors)
+    coeffs = _linalg.nullspace_combinations(residuals)
+    return _linalg.mgs(_linalg.combinations(coeffs, window))
 
 
 def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
@@ -345,12 +339,9 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
         return PairPart(tuple(basis), cert)
 
     def generators(wres, ws_basis):
-        out = []
-        for vec in wres.orbit_vectors:
-            p = _linalg.project(vec, ws_basis)
-            if not p.is_zero(1e-9):
-                out.append(p)
-        return tuple(_linalg.mgs(out))
+        projections = _linalg.project(wres.orbit_vectors, ws_basis)
+        return tuple(_linalg.mgs(
+            [p for p in projections if not p.is_zero(GENERATOR_ZERO_TOL)]))
 
     gens = {
         "v1": generators(w1, ws),

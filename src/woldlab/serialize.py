@@ -1,9 +1,12 @@
 """Stable JSON forms for every report the package emits.
 
 Vectors serialize entry-by-entry as {lane, position, re, im} sorted by
-index; angles serialize as exact fraction strings.  Identical inputs at
-identical depths produce byte-identical documents because every collection
-is emitted in a deterministic order.
+index; angles serialize as exact fraction strings.  Every collection is
+emitted in a deterministic order, so identical inputs at identical depths
+produce byte-identical documents in the same environment.  Basis
+coefficients come from BLAS matrix products, so their last digits can
+depend on the BLAS build and its thread count; verdicts, witnesses,
+dimensions and exit codes do not.
 """
 
 from __future__ import annotations

@@ -171,15 +171,13 @@ def backward_orbit(op, x, steps, ref_lo=None, ref_hi=None) -> OrbitRecord:
 # -- Wold decomposition ----------------------------------------------------
 
 
-def kernel_of_adjoint(v: StructuredIsometry, window: int | None = None) -> Subspace:
+def kernel_of_adjoint(v: StructuredIsometry) -> Subspace:
     """Orthonormal basis of ker V*.
 
     For structured isometries the kernel is finite dimensional: it is the
     orthogonal complement of the explicit columns inside the span of the
-    indices no tail rule hits.  The result is exact regardless of the window
-    argument, which is kept for interface symmetry.
+    indices no tail rule hits, so the result is exact.
     """
-    del window
     candidates = [HVector([(idx, 1.0)]) for idx in v.untailed_indices()]
     columns = [v.explicit_columns[src] for src in sorted(v.explicit_columns)]
     basis = _linalg.complement_basis(candidates, columns)
@@ -381,18 +379,18 @@ def _wandering_unitary_parts(v, orbit_vectors, depth):
     """
     window = v.window_indices(depth)
     window_set = set(window)
-    parts = []
     horizon = min(depth, 32)
+    certified = []
     for idx in window:
         b = HVector([(idx, 1.0)])
         cert = is_wandering(v, b, horizon)
         if cert.is_true and cert.exact:
-            u = b
-            for ov in orbit_vectors:
-                u = u - ov.scaled(b.inner(ov))
-            u = u.restricted_to(window_set)
-            if not u.is_zero():
-                parts.append(u)
+            certified.append(b)
+    parts = []
+    for u in _linalg.orthogonal_residual(certified, orbit_vectors):
+        u = u.restricted_to(window_set)
+        if not u.is_zero():
+            parts.append(u)
     return parts
 
 
@@ -442,11 +440,12 @@ def reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificat
     tol = max(tolerance(), 1e-9)
     margin = v.max_offset() + 1
     inner_depth = max(depth - margin, 1)
-    for idx in v.window_indices(inner_depth):
-        e = HVector([(idx, 1.0)])
-        lhs = _linalg.project(v.apply(e), basis)
-        rhs = v.apply(_linalg.project(e, basis))
-        if (lhs - rhs).norm() > tol:
+    indices = v.window_indices(inner_depth)
+    units = [HVector([(idx, 1.0)]) for idx in indices]
+    lhs = _linalg.project([v.apply(e) for e in units], basis)
+    rhs = _linalg.project(units, basis)
+    for idx, pv, p in zip(indices, lhs, rhs):
+        if (pv - v.apply(p)).norm() > tol:
             return false_certificate(inner_depth, idx)
     return true_certificate(inner_depth, exact=False)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from woldlab.config import ORTHO_DROP_TOL
 from woldlab.core import BasisIndex, HVector, StructuredIsometry
 
 
@@ -102,3 +103,61 @@ def _unit(dense: DenseWindow, idx: BasisIndex) -> np.ndarray:
     e = np.zeros(len(dense.indices), dtype=complex)
     e[dense.slot[idx]] = 1.0
     return e
+
+
+# -- reference Gram-Schmidt over sparse vectors --------------------------------
+#
+# The dict-based orthonormalization the dense window kernel replaced: one
+# Python inner product at a time, two modified Gram-Schmidt passes per
+# vector, and a purifying pass after normalization.  Kept as the reference
+# the kernel is tested against.
+
+
+def sparse_residual(x: HVector, basis) -> HVector:
+    """x minus its projection onto an orthonormal family, two MGS passes."""
+    r = x
+    for _ in range(2):
+        for b in basis:
+            r = r - b.scaled(r.inner(b))
+    return r
+
+
+def sparse_sweep(vectors, basis=(), drop_tol: float = ORTHO_DROP_TOL):
+    """Vectors swept in order into the orthonormal ``basis``; returns only
+    the vectors added."""
+    basis = list(basis)
+    start = len(basis)
+    for v in vectors:
+        r = sparse_residual(v, basis)
+        if r.norm() >= drop_tol:
+            u = r.scaled(1.0 / r.norm())
+            u = sparse_residual(u, basis)
+            basis.append(u.scaled(1.0 / u.norm()))
+    return basis[start:]
+
+
+def sparse_intersection(basis_a, basis_b, drop_tol: float = ORTHO_DROP_TOL):
+    """span(basis_a) ∩ span(basis_b): the combinations of ``basis_a`` whose
+    sparse residual against ``basis_b`` vanishes (SVD nullspace)."""
+    if not basis_a or not basis_b:
+        return []
+    residuals = [sparse_residual(v, basis_b) for v in basis_a]
+    support = sorted({idx for v in residuals for idx in v.support()})
+    if support:
+        pos = {idx: i for i, idx in enumerate(support)}
+        a = np.zeros((len(support), len(residuals)), dtype=complex)
+        for j, v in enumerate(residuals):
+            for idx, c in v.items():
+                a[pos[idx], j] = c
+        _, s, vh = np.linalg.svd(a)
+        cutoff = max(1e-8, float(s[0]) * 1e-10) if s.size else 1e-8
+        null = vh[int(np.sum(s > cutoff)):]
+    else:
+        null = np.eye(len(residuals), dtype=complex)
+    combos = []
+    for coeffs in null:
+        out = HVector.zero()
+        for c, v in zip(coeffs.conj(), basis_a):
+            out = out + v.scaled(c)
+        combos.append(out)
+    return sparse_sweep(combos, drop_tol=drop_tol)

@@ -138,6 +138,19 @@ def test_invalid_vector_exit_code(capsys):
     assert "error" in err
 
 
+def test_huge_tail_threshold_fails_short(tmp_path, capsys):
+    # a threshold of 10^6 would need a million explicit columns; validation
+    # counts them instead of listing them
+    op_file = tmp_path / "huge.op"
+    op_file.write_text("lane 0 naturals\ntail 0 1000000 -> 0 offset 1 phase 0\n")
+    code, out, err = run_cli(capsys, "wold", "--input", str(op_file))
+    assert code == 1
+    assert out == ""
+    assert len(err.encode()) < 1024
+    assert "missing columns for [0:0, 0:1," in err
+    assert "… and 999990 more" in err
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--format", "json")
     assert code == 0

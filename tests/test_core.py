@@ -2,6 +2,7 @@
 composition and commutation."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from woldlab.core import (
     HVector,
     LaneSpec,
     StructuredIsometry,
+    Subspace,
     TailRule,
     commutes,
     compose,
@@ -71,6 +73,50 @@ def test_normalize_zero_vector_rejected():
 def test_norm_matches_inner(entries):
     v = HVector([(BasisIndex(0, p), c) for p, c in entries])
     assert math.isclose(v.norm() ** 2, abs(inner(v, v)), abs_tol=1e-12)
+
+
+# -- Subspace generators --------------------------------------------------------
+
+
+def _loop_check(gens):
+    """The generator check as a plain loop: norm of i, then pairs (j, i)."""
+    for i, g in enumerate(gens):
+        if abs(g.norm() - 1.0) > 1e-6:
+            return f"subspace generator {i} is not unit: norm = {g.norm()}"
+        for j in range(i):
+            overlap = abs(gens[j].inner(g))
+            if overlap > 1e-6:
+                return (f"subspace generators {j} and {i} are not orthogonal: "
+                        f"|<g{j},g{i}>| = {overlap}")
+    return None
+
+
+def _spoiled_basis(seed):
+    """An orthonormal family of 12 or 150 (several Gram blocks) with a few
+    generators spoiled."""
+    py = random.Random(seed)
+    n = py.choice([12, 150])
+    gens = [basis(0, p, py.choice([1.0, -1.0, 1j])) for p in range(n)]
+    for _ in range(py.randint(0, 3)):
+        i, j = py.randrange(n), py.randrange(n)
+        eps = py.choice([1e-7, 3e-6, 1e-3])
+        if py.random() < 0.5:
+            gens[i] = gens[i].scaled(1.0 + eps)
+        else:
+            gens[i] = gens[i] + gens[j].scaled(eps)
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_subspace_check_reports_first_offender_of_the_loop(seed):
+    gens = _spoiled_basis(seed)
+    expected = _loop_check(gens)
+    if expected is None:
+        assert Subspace(gens).dim == len(gens)
+    else:
+        with pytest.raises(MalformedInputError) as info:
+            Subspace(gens)
+        assert str(info.value) == expected
 
 
 # -- construction invariants -----------------------------------------------------
