@@ -266,38 +266,38 @@ def _check_orthonormal(gens: tuple[HVector, ...], tol: float = 1e-6) -> None:
     pairs (j, i) with j < i), that is not unit or not orthogonal to an
     earlier one.
 
-    The Gram matrix over the joint support, taken in blocks of rows so its
-    temporaries stay small, finds the suspects; each is then re-measured
-    with the sparse inner product, so the verdict and the message are those
-    of the plain loop.
+    Only pairs below the first non-unit generator are reached in that
+    order.  The Gram matrix of those generators, taken in blocks of rows so
+    its temporaries stay small, finds the suspect pairs; each is then
+    re-measured with the sparse inner product, so the verdict and the
+    message are those of the plain loop.
     """
     from ._linalg import Window, blocks
 
-    win = Window(gens)
-    a = win.matrix(gens)
-    # rounding separates the two products by far less than half the bound
-    loose = 0.5 * tol
-    for start, block in blocks(a):
-        # gram[r, j] = <g_j, g_(start + r)> for j < start + len(block)
-        gram = block.conj().T @ a[:, :start + block.shape[1]]
-        diag = np.arange(block.shape[1])
-        suspect = np.tril(np.abs(gram) > loose, k=start - 1)
-        suspect[diag, start + diag] = \
-            np.abs(np.sqrt(gram[diag, start + diag].real) - 1.0) > loose
-        for r in np.flatnonzero(suspect.any(axis=1)):
-            i = start + int(r)
-            g = gens[i]
-            if suspect[r, i] and abs(g.norm() - 1.0) > tol:
-                raise MalformedInputError(
-                    f"subspace generator {i} is not unit: norm = {g.norm()}"
-                )
-            for j in np.flatnonzero(suspect[r, :i]):
-                overlap = abs(gens[j].inner(g))
+    first_bad = next((i for i, g in enumerate(gens)
+                      if abs(g.norm() - 1.0) > tol), len(gens))
+    head = gens[:first_bad]
+    if len(head) > 1:
+        a = Window(head).matrix(head)
+        # rounding separates the two products by far less than half the bound
+        loose = 0.5 * tol
+        for start, block in blocks(a):
+            # gram[r, j] = <g_j, g_(start + r)>, kept for j < start + r
+            gram = block.conj().T @ a[:, :start + block.shape[1]]
+            suspect = np.tril(np.abs(gram) > loose, k=start - 1)
+            for r, j in np.argwhere(suspect):  # row-major: the loop order
+                i, j = start + int(r), int(j)
+                overlap = abs(gens[j].inner(gens[i]))
                 if overlap > tol:
                     raise MalformedInputError(
                         f"subspace generators {j} and {i} are not orthogonal: "
                         f"|<g{j},g{i}>| = {overlap}"
                     )
+    if first_bad < len(gens):
+        g = gens[first_bad]
+        raise MalformedInputError(
+            f"subspace generator {first_bad} is not unit: norm = {g.norm()}"
+        )
 
 
 class Subspace:
