@@ -140,6 +140,20 @@ def test_non_orthogonal_columns_rejected():
         )
 
 
+def test_misplaced_columns_listed_briefly():
+    # one column missing, and 15 columns on positions the tail rule covers
+    extra = {BasisIndex(1, p): basis(0, 0) for p in range(5, 20)}
+    with pytest.raises(InvalidOperatorError) as info:
+        StructuredIsometry(
+            [LaneSpec(0, "finite", 1), LaneSpec(1, "naturals")],
+            extra, [TailRule(1, 0, 1, 1)],
+        )
+    assert str(info.value) == (
+        "missing columns for [0:0]; unexpected columns for "
+        "[1:5, 1:6, 1:7, 1:8, 1:9, 1:10, 1:11, 1:12, 1:13, 1:14] … and 5 more"
+    )
+
+
 def test_column_overlapping_tail_image_rejected():
     with pytest.raises(InvalidOperatorError, match="overlaps the tail image"):
         StructuredIsometry(
