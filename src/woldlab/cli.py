@@ -14,6 +14,7 @@ included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -65,6 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--format", choices=("json", "text"), default="text")
     p_cat.add_argument("--output", default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every call: parsing
+    leaves it unchanged, and building it costs about a millisecond."""
+    return build_parser()
 
 
 # -- input loading ---------------------------------------------------------
@@ -270,9 +278,8 @@ def _emit(report, fmt: str, output: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which would read as "undecided"
         return INVALID if exc.code else OK

@@ -6,6 +6,12 @@ from .errors import MalformedInputError
 
 DEFAULT_TOLERANCE = 1e-9
 
+# Exclusive upper bound on WOLDLAB_TOLERANCE.  The tolerance decides when a
+# norm counts as zero and an overlap as orthogonal; at 1 every unit vector
+# would be "zero" and every pair of them "orthogonal", so verdicts would be
+# vacuous.  0.1 still admits deliberately loose runs such as 1e-2.
+MAX_TOLERANCE = 0.1
+
 # Residual threshold below which a vector is dropped during
 # orthonormalization; looser than the working tolerance on purpose so that
 # bases stay deterministic under floating-point noise.
@@ -42,6 +48,17 @@ PREIMAGE_RANK_TOL = 1e-8
 # generators.
 GENERATOR_ZERO_TOL = 1e-9
 
+# Largest |norm(g_i) - 1| and |<g_i, g_j>| that the generators of a
+# ``core.Subspace`` may show and still count as orthonormal.  Fixed, not
+# the working tolerance, and looser than it, so that bases built by
+# Gram-Schmidt sweeps over deep windows are accepted.
+SUBSPACE_ORTHONORMAL_TOL = 1e-6
+
+# Lower bound on the tolerance of ``wold.reducing_certificate``'s column
+# check of P V = V P: a WOLDLAB_TOLERANCE tighter than this would measure
+# the rounding of the window projections, not whether the subspace reduces.
+REDUCING_TOL_FLOOR = 1e-9
+
 # Largest residual against the wandering-span residual of V1 that an input
 # of ``pairs.h0_plus`` may have and still count as lying inside it.
 H0_MEMBERSHIP_TOL = 1e-6
@@ -65,8 +82,9 @@ def tolerance() -> float:
         raise MalformedInputError(
             f"WOLDLAB_TOLERANCE is not a number: {raw!r}"
         ) from None
-    if not value > 0.0:
+    if not 0.0 < value < MAX_TOLERANCE:
         raise MalformedInputError(
-            f"WOLDLAB_TOLERANCE must be positive, got {value!r}"
+            f"WOLDLAB_TOLERANCE must be positive and below {MAX_TOLERANCE}, "
+            f"got {value!r}"
         )
     return value

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .certificates import Certificate, false_certificate, true_certificate
-from .config import PRUNE_TOL, tolerance
+from .config import PRUNE_TOL, SUBSPACE_ORTHONORMAL_TOL, tolerance
 from .errors import (
     CompositionError,
     InvalidOperatorError,
@@ -261,7 +261,8 @@ class Closure:
             raise MalformedInputError("orbit closures must name their operator")
 
 
-def _check_orthonormal(gens: tuple[HVector, ...], tol: float = 1e-6) -> None:
+def _check_orthonormal(gens: tuple[HVector, ...],
+                       tol: float = SUBSPACE_ORTHONORMAL_TOL) -> None:
     """Raise on the first generator, in loop order (the norm of i, then the
     pairs (j, i) with j < i), that is not unit or not orthogonal to an
     earlier one.

@@ -19,6 +19,9 @@ an undecided verdict) rather than being rounded up to theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import _linalg
 from .certificates import (
@@ -27,7 +30,12 @@ from .certificates import (
     true_certificate,
     undecided_certificate,
 )
-from .config import DEFAULT_DEPTH, DEFAULT_HORIZON, tolerance
+from .config import (
+    DEFAULT_DEPTH,
+    DEFAULT_HORIZON,
+    REDUCING_TOL_FLOOR,
+    tolerance,
+)
 from .core import (
     INTEGERS,
     NATURALS,
@@ -277,14 +285,84 @@ def is_wandering(v: StructuredIsometry, x: HVector,
     return true_certificate(horizon, exact=orbit.certified)
 
 
-def _scan_pairs(horizon: int):
-    # small exponents first, forward pairs before adjoint ones, so witnesses
-    # are canonical
-    pairs = [(n, m) for n in range(-horizon, horizon + 1)
-             for m in range(-horizon, n)]
-    pairs.sort(key=lambda nm: (max(abs(nm[0]), abs(nm[1])),
-                               abs(nm[0]) + abs(nm[1]), -nm[0], -nm[1]))
-    return pairs
+@lru_cache(maxsize=4)
+def _pair_ranks(horizon: int) -> np.ndarray:
+    """rank[n + h, m + h] of each pair (n, m), m < n, in the canonical scan
+    order: small exponents first, forward pairs before adjoint ones, i.e.
+    ascending (max(|n|, |m|), |n| + |m|, -n, -m).  Entries on and above the
+    diagonal are unused.  Stored in the smallest unsigned type that holds
+    every rank, and read-only, since the cache shares it."""
+    size = 2 * horizon + 1
+    rows, cols = np.tril_indices(size, k=-1)
+    n, m = rows - horizon, cols - horizon
+    order = np.lexsort((-m, -n, np.abs(n) + np.abs(m),
+                        np.maximum(np.abs(n), np.abs(m))))
+    rank = np.full((size, size), rows.size,
+                   dtype=np.min_scalar_type(rows.size))
+    rank[rows[order], cols[order]] = np.arange(rows.size)
+    rank.flags.writeable = False
+    return rank
+
+
+def _overlap_cutoff(a: np.ndarray, tol: float) -> float:
+    """Prefilter cutoff for |<a_i, a_j>| taken from the dense product.
+
+    The dense and the sparse sum of a complex dot product over ``rows``
+    entries each lie within about (rows + 3) u ||a_i|| ||a_j|| of the exact
+    value (u = eps / 2, Cauchy-Schwarz on the sum of |products|; twice that
+    for BLAS builds that form complex products from three real ones), so
+    they differ by less than slack = 4 (rows + 2) eps max_k ||a_k||^2.  A
+    pair whose sparse overlap exceeds ``tol`` thus has a dense overlap
+    above tol - slack.  The cutoff is halfway to ``tol``, or lower when the
+    slack needs more room; for large vectors it drops below zero and every
+    pair is re-measured.
+    """
+    norm = float(np.linalg.norm(a, axis=0).max())
+    slack = 4 * (a.shape[0] + 2) * np.finfo(float).eps * norm * norm
+    return min(0.5 * tol, tol - slack)
+
+
+def _first_overlap(horizon: int, fwd: list[HVector], back: list[HVector],
+                   tol: float):
+    """First pair (n, m) in canonical order with |<V^n x, V^m x>| > tol, then
+    the first (r, 0) with r > horizon in the extended forward range, or
+    None.
+
+    The table holds V*^k x (k = horizon .. 1, zero past a dead backward
+    orbit) and V^k x (k = 0 .. horizon, the last orbit vector past a dead
+    forward one), as columns -horizon .. horizon of one dense matrix.  Its
+    Gram matrix, in blocks of rows, marks every pair that may pass ``tol``;
+    the suspects are re-measured with the sparse inner product in
+    canonical order, so the first one above ``tol`` is the witness the
+    pair-by-pair loop would report.
+    """
+    zero = HVector.zero()
+    table = [back[k] if k < len(back) else zero
+             for k in range(horizon, 0, -1)]
+    table += [fwd[k] if k < len(fwd) else fwd[-1]
+              for k in range(horizon + 1)]
+    a = _linalg.Window(table).matrix(table)
+    cutoff = _overlap_cutoff(a, tol)
+    rank = _pair_ranks(horizon)
+    suspects = []
+    for start, block in _linalg.blocks(a):
+        # gram[r, j] = <a_j, a_(start + r)>, kept for j < start + r
+        gram = block.conj().T @ a[:, :start + block.shape[1]]
+        rows, cols = np.nonzero(np.tril(np.abs(gram) > cutoff, k=start - 1))
+        suspects.append((rank[rows + start, cols], rows + start, cols))
+    ranks, rows, cols = (np.concatenate(part) for part in zip(*suspects))
+    for s in np.argsort(ranks):
+        i, j = int(rows[s]), int(cols[s])
+        if abs(table[i].inner(table[j])) > tol:
+            return (i - horizon, j - horizon)
+    # the forward values must also cover the extended range used to reduce
+    # mixed pairs <V^n x, V*^m x> = <V^(n+m) x, x>.  These vectors stay out
+    # of the dense table: their supports drift away from x's, so they would
+    # widen its window for overlaps that are mostly empty.
+    for r in range(horizon + 1, len(fwd)):
+        if abs(fwd[r].inner(fwd[0])) > tol:
+            return (r, 0)
+    return None
 
 
 def is_strongly_wandering(v: StructuredIsometry, x: HVector,
@@ -293,10 +371,15 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
     adjoint powers standing in for negative powers.
 
     For a unitary operator every pair reduces to a forward test of the
-    difference exponent.  Otherwise the pair table is checked directly;
-    exactness additionally requires the backward orbit to die out, which
-    reduces every untested mixed or backward pair to a certified forward one
-    or to zero.
+    difference exponent.  Otherwise the pair table is checked directly, and
+    a violation is reported as the first pair in canonical order: small
+    exponents first, forward pairs before adjoint ones (see
+    ``_pair_ranks``).  The table's overlaps come from one dense Gram matrix
+    used as a prefilter; every pair it flags is confirmed by re-measuring
+    it with the sparse inner product, so the verdict and the witness do not
+    depend on BLAS rounding.  Exactness additionally requires the backward
+    orbit to die out, which reduces every untested mixed or backward pair
+    to a certified forward one or to zero.
     """
     _check_wandering_input(x, horizon)
     tol = tolerance()
@@ -309,19 +392,9 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
 
     back = backward_orbit(v, x, horizon)
     fwd = forward_orbit(v, x, 2 * horizon)
-    table: dict[int, HVector] = {}
-    for k in range(0, horizon + 1):
-        table[k] = fwd.vectors[k] if k < len(fwd.vectors) else fwd.vectors[-1]
-    for k in range(1, horizon + 1):
-        table[-k] = back.vectors[k] if k < len(back.vectors) else HVector.zero()
-    for n, m in _scan_pairs(horizon):
-        if abs(table[n].inner(table[m])) > tol:
-            return false_certificate(horizon, (n, m))
-    # the forward values must also cover the extended range used to reduce
-    # mixed pairs <V^n x, V*^m x> = <V^(n+m) x, x>
-    for r in range(1, len(fwd.vectors)):
-        if abs(fwd.vectors[r].inner(x)) > tol:
-            return false_certificate(horizon, (r, 0))
+    witness = _first_overlap(horizon, fwd.vectors, back.vectors, tol)
+    if witness is not None:
+        return false_certificate(horizon, witness)
     exact = _strong_exactness(v, x, horizon, fwd, back)
     return true_certificate(horizon, exact=exact)
 
@@ -437,7 +510,7 @@ def wandering_span_decompose(v: StructuredIsometry,
 def reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificate:
     """Check P V = V P on an inner window (the margin keeps V from crossing
     the window edge, which would only measure truncation)."""
-    tol = max(tolerance(), 1e-9)
+    tol = max(tolerance(), REDUCING_TOL_FLOOR)
     margin = v.max_offset() + 1
     inner_depth = max(depth - margin, 1)
     indices = v.window_indices(inner_depth)

@@ -161,3 +161,49 @@ def sparse_intersection(basis_a, basis_b, drop_tol: float = ORTHO_DROP_TOL):
             out = out + v.scaled(c)
         combos.append(out)
     return sparse_sweep(combos, drop_tol=drop_tol)
+
+
+# -- reference strong-wandering pair scan ---------------------------------------
+#
+# The pair-by-pair scan that the Gram-matrix prefilter of
+# ``wold.is_strongly_wandering`` replaced: the pair list rebuilt and sorted
+# on every call, then one sparse inner product per pair until the first
+# violation.  Kept as the reference the dense scan is tested against.
+
+
+def scan_pairs(horizon: int):
+    """Every pair (n, m), m < n, in [-horizon, horizon], in canonical
+    order: small exponents first, forward pairs before adjoint ones."""
+    pairs = [(n, m) for n in range(-horizon, horizon + 1)
+             for m in range(-horizon, n)]
+    pairs.sort(key=lambda nm: (max(abs(nm[0]), abs(nm[1])),
+                               abs(nm[0]) + abs(nm[1]), -nm[0], -nm[1]))
+    return pairs
+
+
+def loop_strongly_wandering(v: StructuredIsometry, x: HVector, horizon: int):
+    """``is_strongly_wandering`` with the non-unitary pair table checked one
+    sparse inner product at a time in ``scan_pairs`` order."""
+    from woldlab import wold
+    from woldlab.certificates import false_certificate, true_certificate
+    from woldlab.config import tolerance
+
+    if wold.is_unitary(v):
+        return wold.is_strongly_wandering(v, x, horizon)
+    wold._check_wandering_input(x, horizon)
+    tol = tolerance()
+    back = wold.backward_orbit(v, x, horizon)
+    fwd = wold.forward_orbit(v, x, 2 * horizon)
+    table = {}
+    for k in range(0, horizon + 1):
+        table[k] = fwd.vectors[k] if k < len(fwd.vectors) else fwd.vectors[-1]
+    for k in range(1, horizon + 1):
+        table[-k] = back.vectors[k] if k < len(back.vectors) else HVector.zero()
+    for n, m in scan_pairs(horizon):
+        if abs(table[n].inner(table[m])) > tol:
+            return false_certificate(horizon, (n, m))
+    for r in range(1, len(fwd.vectors)):
+        if abs(fwd.vectors[r].inner(x)) > tol:
+            return false_certificate(horizon, (r, 0))
+    exact = wold._strong_exactness(v, x, horizon, fwd, back)
+    return true_certificate(horizon, exact=exact)

@@ -10,8 +10,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_hvector, random_structured_isometry
 from oracle import DenseWindow
+from samples import random_hvector, random_structured_isometry
 from woldlab import catalog, cli
 from woldlab.core import HVector, commutes, doubly_commutes, inner
 from woldlab.pairs import h0_plus, pair_decompose, weak_bishift_classify

@@ -324,3 +324,48 @@ def test_wold_runs_one_decomposition(capsys, monkeypatch):
     )
     assert code == cli.OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("raw", ["1", "inf"])
+def test_vacuous_tolerance_exits_invalid(capsys, monkeypatch, raw):
+    monkeypatch.setenv("WOLDLAB_TOLERANCE", raw)
+    code, out, err = run_cli(
+        capsys, "wander", "--input", "catalog:shift", "--vector", "0:0=1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: WOLDLAB_TOLERANCE") and err.count("\n") == 1
+
+
+def test_parser_is_built_once(capsys, monkeypatch, tmp_path):
+    """Calls sharing one parser, usage errors and --help among them, answer
+    exactly as calls with a fresh parser each."""
+    wander = ("wander", "--input", "catalog:fixed_plus_shift",
+              "--vector", "0:0=1,1:0=1", "--format", "json")
+    runs = [
+        wander + ("--strong", "--horizon", "4"),
+        ("wander", "--strong", "--input", "catalog:shift"),  # no --vector
+        wander,
+        ("wold", "--input", "catalog:shift", "--depth", "8"),
+        ("wold", "--input", "catalog:shift", "--horizon", "8"),  # no such flag
+        ("catalog", "--output", str(tmp_path / "listing.txt")),
+        ("--help",),
+        ("catalog",),
+        wander + ("--horizon", "3"),
+    ]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    try:
+        fresh = []
+        for args in runs:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *args))
+        cli._parser.cache_clear()
+        built.clear()
+        shared = [run_cli(capsys, *args) for args in runs]
+    finally:
+        cli._parser.cache_clear()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 1, 0, 0, 0, 0]
+    assert len(built) == 1

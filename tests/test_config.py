@@ -3,7 +3,7 @@
 import pytest
 
 from woldlab.certificates import Certificate
-from woldlab.config import tolerance
+from woldlab.config import MAX_TOLERANCE, tolerance
 from woldlab.core import BasisIndex, HVector, LaneSpec, StructuredIsometry, TailRule
 from woldlab.errors import InvalidOperatorError, MalformedInputError
 
@@ -23,6 +23,15 @@ def test_tolerance_rejects_garbage(monkeypatch):
         tolerance()
     monkeypatch.setenv("WOLDLAB_TOLERANCE", "-1")
     with pytest.raises(MalformedInputError):
+        tolerance()
+
+
+@pytest.mark.parametrize("raw", ["1", "inf", "nan", repr(MAX_TOLERANCE)])
+def test_tolerance_rejects_vacuous_values(monkeypatch, raw):
+    """At 1 every unit vector would count as zero; the bound and non-finite
+    values are refused."""
+    monkeypatch.setenv("WOLDLAB_TOLERANCE", raw)
+    with pytest.raises(MalformedInputError, match="below"):
         tolerance()
 
 

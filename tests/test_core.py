@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NICE_COEFFS, random_hvector, random_structured_isometry
 from oracle import DenseWindow
+from samples import NICE_COEFFS, random_hvector, random_structured_isometry
 from woldlab import catalog
 from woldlab.core import (
     BasisIndex,

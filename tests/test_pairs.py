@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import catalog_pairs
+from samples import catalog_pairs
 from woldlab import catalog, pairs, wold
 from woldlab.certificates import false_certificate, true_certificate
 from woldlab.core import (

@@ -5,8 +5,14 @@ import math
 
 import pytest
 
-from conftest import random_hvector, structured_catalog_operators
-from woldlab import catalog
+from oracle import loop_strongly_wandering, scan_pairs
+from samples import (
+    random_hvector,
+    random_structured_isometry,
+    structured_catalog_operators,
+)
+from woldlab import catalog, wold
+from woldlab.config import tolerance
 from woldlab.core import BasisIndex, HVector, inner
 from woldlab.errors import MalformedInputError, PreconditionError
 from woldlab.wold import (
@@ -179,6 +185,68 @@ def test_strongly_wandering_matches_pair_table():
         assert cert.is_true == direct, seed
 
 
+STRONG_SCAN_HORIZONS = (1, 2, 17)
+
+
+def _strong_verdict(cert):
+    return cert.is_true, cert.exact, cert.witness
+
+
+@pytest.mark.parametrize("horizon", STRONG_SCAN_HORIZONS + (96,))
+def test_pair_ranks_follow_scan_order(horizon):
+    rank = wold._pair_ranks(horizon)
+    ranked = sorted(scan_pairs(horizon),
+                    key=lambda nm: rank[nm[0] + horizon, nm[1] + horizon])
+    assert ranked == scan_pairs(horizon)
+    assert sorted(rank[n + horizon, m + horizon]
+                  for n, m in ranked) == list(range(len(ranked)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
+def test_strong_scan_matches_pair_loop(scale):
+    """The dense prefilter reports the verdict, exactness and witness of the
+    pair-by-pair loop, false verdicts with backward and mixed first
+    witnesses among them, for unit-sized, tiny and large vectors."""
+    ops = [op for _, op in structured_catalog_operators()]
+    ops += [random_structured_isometry(seed) for seed in range(24)]
+    witnesses = set()
+    for k, op in enumerate(ops):
+        if is_unitary(op):
+            continue
+        for seed in range(4):
+            x = random_hvector(op, 700 + 10 * k + seed).scaled(scale)
+            for horizon in STRONG_SCAN_HORIZONS:
+                got = is_strongly_wandering(op, x, horizon)
+                want = loop_strongly_wandering(op, x, horizon)
+                assert _strong_verdict(got) == _strong_verdict(want), \
+                    (k, seed, horizon)
+                if want.witness is not None:
+                    n, m = want.witness
+                    witnesses.add("forward" if m >= 0 else
+                                  "backward" if n <= 0 else "mixed")
+    assert witnesses == {"forward", "backward", "mixed"}
+
+
+@pytest.mark.parametrize("size", [1.0, 1e3])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+@pytest.mark.parametrize("gap, witness", [(1, (1, 0)), (2, (1, -1))])
+def test_strong_scan_at_the_tolerance(shift, size, factor, gap, witness):
+    """x = size * e0 + c * e_gap on the shift: the first nonzero overlap is
+    <V x, x> (gap 1) or the mixed <V x, V* x> (gap 2), at 0.9 or 1.1 times
+    the tolerance.  At size 1e3 the rounding slack exceeds the tolerance,
+    so every pair is re-measured."""
+    c = factor * tolerance() / size
+    x = basis(0, 0, size) + basis(0, gap, c)
+    for horizon in STRONG_SCAN_HORIZONS:
+        got = is_strongly_wandering(shift, x, horizon)
+        assert _strong_verdict(got) == \
+            _strong_verdict(loop_strongly_wandering(shift, x, horizon))
+        if factor < 1:
+            assert got.is_true and got.exact
+        else:
+            assert got.is_false and got.witness == witness
+
+
 def test_proof_identity_for_wandering_vectors():
     """For a wandering w with Wold components w_u, w_s the unitary and shift
     autocorrelations cancel: <V^n w_u, w_u> = -<V^n w_s, w_s>."""
@@ -252,7 +320,7 @@ def test_wandering_span_h0_orthogonal_to_hw(fixed_plus_shift):
 def test_wandering_span_invariant_under_commuting_isometry():
     """Hw is invariant for every isometry commuting with V (checked on an
     inner window), and hence H0 for its adjoint."""
-    from conftest import catalog_pairs
+    from samples import catalog_pairs
     from woldlab import _linalg
 
     depth = 16
