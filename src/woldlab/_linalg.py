@@ -73,6 +73,32 @@ def blocks(a: np.ndarray):
         yield start, a[:, start:start + _BLOCK]
 
 
+def gram_suspects(a: np.ndarray, start: int, cutoff: float):
+    """Pairs (i, j) of columns, j < i and i >= start, whose dense overlap
+    |<a_j, a_i>| exceeds ``cutoff``, as two index arrays in row-major order
+    (by i, then j).
+
+    Only the Gram rows of the columns from ``start`` on are formed, in
+    blocks, so temporaries stay small and columns appended to a matrix
+    whose earlier pairs are already known cost only their own rows.  The
+    overlaps carry BLAS rounding: callers pick a cutoff below their
+    decision threshold and re-measure the suspects.
+    """
+    found_i, found_j = [], []
+    for first in range(start, a.shape[1], _BLOCK):
+        block = a[:, first:first + _BLOCK]
+        # gram[r, j] = <a_j, a_(first + r)>, kept for j < first + r
+        gram = block.conj().T @ a[:, :first + block.shape[1]]
+        rows, cols = np.nonzero(np.abs(gram) > cutoff)
+        rows += first
+        below = cols < rows
+        found_i.append(rows[below])
+        found_j.append(cols[below])
+    if not found_i:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
 def _coefficients(q: np.ndarray, block: np.ndarray) -> np.ndarray:
     """q^H @ block, conjugating the block rather than copying all of q."""
     return (block.conj().T @ q).conj().T

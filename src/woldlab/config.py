@@ -63,8 +63,41 @@ REDUCING_TOL_FLOOR = 1e-9
 # of ``pairs.h0_plus`` may have and still count as lying inside it.
 H0_MEMBERSHIP_TOL = 1e-6
 
+# Largest ||V V* b - b|| and ||V* V b - b|| at which ``pairs.h0_plus``
+# reports V1 as unitary on a basis vector b of H0+.  Looser than the working
+# tolerance: the basis comes out of Gram-Schmidt sweeps whose rounding the
+# two applications carry along.
+H0_UNITARY_TOL = 1e-8
+
+# Largest ||c| - 1| of the single coefficient of a basis vector that
+# ``pairs`` still counts as a plain basis vector when it checks whether a
+# basis is a union of whole finite lanes.
+LANE_COVER_TOL = 1e-9
+
+# Largest ||c| - 1| of the single coefficient of a kernel generator that
+# ``wold.minimal_unitary_extension`` still counts as a plain basis vector,
+# so that its lane may be widened to an integer lane.
+WIDENING_TOL = 1e-9
+
+# Largest ||phase| - 1| a tail rule's phase may show and still count as
+# unimodular.  Near double rounding, so that phases given as turns pass but
+# hand-written approximations do not.
+TAIL_PHASE_TOL = 1e-12
+
+# Largest |phase - root| at which a tail phase is written back to a
+# description file as the exact fraction of turns of that root of unity
+# (0, 1/4, 1/2, 3/4) rather than as a float.
+EXACT_PHASE_TOL = 1e-12
+
 DEFAULT_DEPTH = 64
 DEFAULT_HORIZON = 64
+
+# Largest horizon ``is_wandering`` and ``is_strongly_wandering`` accept.  The
+# strong pair table is a dense window x (2h + 1) matrix, with windows that
+# widen like h when supports drift, and its scan order a (2h + 1)^2 rank
+# matrix, so memory grows as h^2.  At 512, the strong test of e_(1,0) on the
+# catalog's bilateral_plus_shift peaks at about 70 MB of resident memory.
+MAX_HORIZON = 512
 
 
 def tolerance() -> float:

@@ -28,10 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-import numpy as np
-
 from .certificates import Certificate, false_certificate, true_certificate
-from .config import PRUNE_TOL, SUBSPACE_ORTHONORMAL_TOL, tolerance
+from .config import (
+    PRUNE_TOL,
+    SUBSPACE_ORTHONORMAL_TOL,
+    TAIL_PHASE_TOL,
+    tolerance,
+)
 from .errors import (
     CompositionError,
     InvalidOperatorError,
@@ -232,7 +235,7 @@ class TailRule:
     def __post_init__(self):
         if self.threshold < 0:
             raise MalformedInputError("tail threshold must be nonnegative")
-        if abs(abs(self.phase) - 1.0) > 1e-12:
+        if abs(abs(self.phase) - 1.0) > TAIL_PHASE_TOL:
             raise MalformedInputError(
                 f"tail phase must be unimodular, got |phase| = {abs(self.phase)}"
             )
@@ -273,7 +276,7 @@ def _check_orthonormal(gens: tuple[HVector, ...],
     re-measured with the sparse inner product, so the verdict and the
     message are those of the plain loop.
     """
-    from ._linalg import Window, blocks
+    from ._linalg import Window, gram_suspects
 
     first_bad = next((i for i, g in enumerate(gens)
                       if abs(g.norm() - 1.0) > tol), len(gens))
@@ -281,19 +284,14 @@ def _check_orthonormal(gens: tuple[HVector, ...],
     if len(head) > 1:
         a = Window(head).matrix(head)
         # rounding separates the two products by far less than half the bound
-        loose = 0.5 * tol
-        for start, block in blocks(a):
-            # gram[r, j] = <g_j, g_(start + r)>, kept for j < start + r
-            gram = block.conj().T @ a[:, :start + block.shape[1]]
-            suspect = np.tril(np.abs(gram) > loose, k=start - 1)
-            for r, j in np.argwhere(suspect):  # row-major: the loop order
-                i, j = start + int(r), int(j)
-                overlap = abs(gens[j].inner(gens[i]))
-                if overlap > tol:
-                    raise MalformedInputError(
-                        f"subspace generators {j} and {i} are not orthogonal: "
-                        f"|<g{j},g{i}>| = {overlap}"
-                    )
+        for i, j in zip(*gram_suspects(a, 0, 0.5 * tol)):
+            i, j = int(i), int(j)
+            overlap = abs(gens[j].inner(gens[i]))
+            if overlap > tol:
+                raise MalformedInputError(
+                    f"subspace generators {j} and {i} are not orthogonal: "
+                    f"|<g{j},g{i}>| = {overlap}"
+                )
     if first_bad < len(gens):
         g = gens[first_bad]
         raise MalformedInputError(

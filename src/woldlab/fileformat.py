@@ -30,6 +30,7 @@ import json
 import math
 from fractions import Fraction
 
+from .config import EXACT_PHASE_TOL
 from .core import BasisIndex, HVector, LaneSpec, StructuredIsometry, TailRule
 from .errors import DescriptionParseError, MalformedInputError
 from .spectral import Arc, SpectralUnitary, as_angle
@@ -161,7 +162,7 @@ def format_operator(op: StructuredIsometry) -> str:
 
 def _phase_to_turns(phase: complex) -> str:
     for turns, value in _EXACT_PHASES.items():
-        if abs(phase - value) < 1e-12:
+        if abs(phase - value) < EXACT_PHASE_TOL:
             return str(turns)
     angle = cmath.phase(phase) / (2 * cmath.pi) % 1.0
     return repr(angle)

@@ -24,6 +24,8 @@ from .config import (
     DEFAULT_DEPTH,
     GENERATOR_ZERO_TOL,
     H0_MEMBERSHIP_TOL,
+    H0_UNITARY_TOL,
+    LANE_COVER_TOL,
     PREIMAGE_RANK_TOL,
 )
 from .core import (
@@ -91,8 +93,8 @@ def h0_plus(v1: StructuredIsometry, v2: StructuredIsometry, h0: Subspace,
     v1_red = wold.reducing_certificate(v1, basis, depth)
     v2_red = wold.reducing_certificate(v2, basis, depth)
     unitary_on = all(
-        v1.apply(v1.apply_adjoint(b)).approx_equals(b, 1e-8)
-        and v1.apply_adjoint(v1.apply(b)).approx_equals(b, 1e-8)
+        v1.apply(v1.apply_adjoint(b)).approx_equals(b, H0_UNITARY_TOL)
+        and v1.apply_adjoint(v1.apply(b)).approx_equals(b, H0_UNITARY_TOL)
         for b in basis
     )
     return H0PlusResult(
@@ -124,7 +126,7 @@ def _finite_lane_cover(op: StructuredIsometry, basis) -> set[int] | None:
     hit: dict[int, set[int]] = {}
     for g in basis:
         supp = g.support()
-        if len(supp) != 1 or abs(abs(g.coefficient(supp[0])) - 1.0) > 1e-9:
+        if len(supp) != 1 or abs(abs(g.coefficient(supp[0])) - 1.0) > LANE_COVER_TOL:
             return None
         idx = supp[0]
         lane = op.lane(idx.lane)

@@ -18,7 +18,7 @@ an undecided verdict) rather than being rounded up to theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +33,10 @@ from .certificates import (
 from .config import (
     DEFAULT_DEPTH,
     DEFAULT_HORIZON,
+    MAX_HORIZON,
+    PRUNE_TOL,
     REDUCING_TOL_FLOOR,
+    WIDENING_TOL,
     tolerance,
 )
 from .core import (
@@ -55,20 +58,50 @@ DIED = "died"
 OPEN = "open"
 
 _INF = 10 ** 18
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
 class OrbitRecord:
-    """Orbit vectors of x under repeated (adjoint) application plus the
-    structural certificate classifying its eventual behaviour."""
+    """Orbit vectors x, T x, T^2 x, ... of x under T = V (or V*) plus the
+    structural certificate classifying its eventual behaviour.
+
+    A record returned by ``forward_orbit`` or ``backward_orbit`` grows on
+    demand (``reach``, ``extend``).  Its status is that of the vectors it
+    holds so far, and once it leaves OPEN it never changes, so a record
+    grown to more steps holds the same vectors, status and onset as an
+    orbit of that many steps computed afresh.
+    """
 
     vectors: list[HVector]
     status: str
     onset: int | None = None
+    _growth: "_OrbitGrowth | None" = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
         return self.status in (ESCAPED, PERIODIC, DIED)
+
+    def last_step(self, steps: int) -> int:
+        """Index of the last vector of a fresh orbit of ``steps``: orbits run
+        dip + 2 steps past them, so that an escape can show."""
+        return steps + self._growth.ctx.dip + 2
+
+    def extend(self, steps: int) -> "OrbitRecord":
+        """Grow the record to the orbit of ``steps`` steps."""
+        self.reach(self.last_step(steps))
+        return self
+
+    def reach(self, n: int) -> bool:
+        """Grow the record through T^n x; False if the orbit died first
+        (it stays zero from there on, and callers pad)."""
+        growth = self._growth
+        while len(self.vectors) <= n:
+            if growth is None or growth.dead:
+                return False
+            growth.step(self)
+        return True
 
 
 def _explicit_bounds(op: StructuredIsometry) -> tuple[int, int]:
@@ -129,50 +162,103 @@ def _support_signature(v: HVector):
     return (len(entries), min(entries), max(entries))
 
 
-def _orbit(op: StructuredIsometry, x: HVector, steps: int,
+class _OrbitGrowth:
+    """What an ``OrbitRecord`` needs to take its next step.
+
+    The recurrence search only compares vectors with equal support
+    signatures, and of those it skips a pair whose norms differ by more
+    than ``tol`` plus rounding: ||v - w|| >= |‖v‖ - ‖w‖|, so
+    ``approx_equals`` could not accept it.  Every match it reports is
+    decided by ``approx_equals``.
+    """
+
+    __slots__ = ("ctx", "apply", "tol", "dead", "seen")
+
+    def __init__(self, ctx: _EscapeContext, apply, tol: float):
+        self.ctx = ctx
+        self.apply = apply
+        self.tol = tol
+        self.dead = False
+        # signature -> [(step, norm)] of the vectors taken while OPEN
+        self.seen: dict = {}
+
+    def note(self, record: OrbitRecord, v: HVector, norm: float) -> None:
+        self.seen.setdefault(_support_signature(v), []).append(
+            (len(record.vectors) - 1, norm))
+
+    def step(self, record: OrbitRecord) -> None:
+        n = len(record.vectors)
+        v = self.apply(record.vectors[-1])
+        record.vectors.append(v)
+        norm = v.norm()
+        if norm <= self.tol:
+            self.dead = True
+            if record.status == OPEN:
+                record.status, record.onset = DIED, n
+            return
+        if record.status != OPEN:
+            return
+        if self.ctx.escaped(v):
+            record.status, record.onset = ESCAPED, n
+        elif self.recurs(record, v, norm):
+            record.status, record.onset = PERIODIC, n
+        else:
+            self.note(record, v, norm)
+
+    def recurs(self, record: OrbitRecord, v: HVector, norm: float) -> bool:
+        size = 2 * len(v._entries)
+        for m, norm_m in self.seen.get(_support_signature(v), ()):
+            if abs(norm - norm_m) > self.tol + _norm_gap_slack(size, norm,
+                                                                norm_m):
+                continue
+            if v.approx_equals(record.vectors[m], self.tol):
+                return True
+        return False
+
+
+def _norm_gap_slack(size: int, norm_v: float, norm_w: float) -> float:
+    """Bound on how far the computed ||v - w|| may fall below the computed
+    |‖v‖ - ‖w‖| for vectors with ``size`` entries between them.
+
+    Each computed norm is within (size + 4) u of its exact value relative
+    to it (u = eps / 2), and so is the norm of the computed difference
+    relative to ||v - w|| <= ‖v‖ + ‖w‖; the difference also drops entries
+    of modulus at most PRUNE_TOL, which can take sqrt(size) PRUNE_TOL off
+    its norm.  Twice the sum of those terms is used.
+    """
+    return (2 * (size + 4) * _EPS * (norm_v + norm_w)
+            + 2 * size ** 0.5 * PRUNE_TOL)
+
+
+def _orbit(op: StructuredIsometry, x: HVector, steps: int | None,
            ref_lo: int | None, ref_hi: int | None,
            backward: bool = False) -> OrbitRecord:
-    """Orbit of x under V (or V* when ``backward``); reference positions
-    default to the extent of x's support."""
+    """Orbit of x under V (or V* when ``backward``), grown to ``steps`` or,
+    when ``steps`` is None, holding x alone until a caller grows it;
+    reference positions default to the extent of x's support."""
     if ref_lo is None or ref_hi is None:
         positions = [idx.position for idx in x.support()] or [0]
         ref_lo = min(positions) if ref_lo is None else ref_lo
         ref_hi = max(positions) if ref_hi is None else ref_hi
-    tol = tolerance()
     ctx = _EscapeContext(op, ref_lo, ref_hi, backward)
-    step = op.apply_adjoint if backward else op.apply
-    max_steps = steps + ctx.dip + 2
-    vectors = [x]
-    signatures = [_support_signature(x)]
-    status, onset = OPEN, None
+    growth = _OrbitGrowth(ctx, op.apply_adjoint if backward else op.apply,
+                          tolerance())
+    record = OrbitRecord([x], OPEN)
+    record._growth = growth
     if ctx.escaped(x):
-        status, onset = ESCAPED, 0
-    for n in range(1, max_steps + 1):
-        v = step(vectors[-1])
-        vectors.append(v)
-        signatures.append(_support_signature(v))
-        if v.is_zero(tol):
-            # stays zero from here on; callers pad with zeros
-            if status == OPEN:
-                status, onset = DIED, n
-            break
-        if status == OPEN:
-            if ctx.escaped(v):
-                status, onset = ESCAPED, n
-            else:
-                for m in range(n):
-                    if signatures[m] == signatures[n] and \
-                            v.approx_equals(vectors[m], tol):
-                        status, onset = PERIODIC, n
-                        break
-    return OrbitRecord(vectors, status, onset)
+        record.status, record.onset = ESCAPED, 0
+    else:
+        growth.note(record, x, x.norm())
+    if steps is not None:
+        record.extend(steps)
+    return record
 
 
-def forward_orbit(op, x, steps, ref_lo=None, ref_hi=None) -> OrbitRecord:
+def forward_orbit(op, x, steps=None, ref_lo=None, ref_hi=None) -> OrbitRecord:
     return _orbit(op, x, steps, ref_lo, ref_hi)
 
 
-def backward_orbit(op, x, steps, ref_lo=None, ref_hi=None) -> OrbitRecord:
+def backward_orbit(op, x, steps=None, ref_lo=None, ref_hi=None) -> OrbitRecord:
     return _orbit(op, x, steps, ref_lo, ref_hi, backward=True)
 
 
@@ -193,8 +279,10 @@ def kernel_of_adjoint(v: StructuredIsometry) -> Subspace:
 
 
 def is_unitary(v: StructuredIsometry) -> bool:
-    """Exact: a structured isometry is unitary iff ker V* = {0}."""
-    return kernel_of_adjoint(v).dim == 0
+    """Exact: a structured isometry is unitary iff ker V* = {0}.  Validated
+    explicit columns are orthonormal and avoid the tail image, so dim ker V*
+    is the number of untailed indices minus the number of columns."""
+    return len(v.untailed_indices()) == len(v.explicit_columns)
 
 
 @dataclass(frozen=True)
@@ -265,8 +353,32 @@ def _window_projections(vectors, window) -> list[HVector]:
 def _check_wandering_input(x: HVector, horizon: int) -> None:
     if horizon < 1:
         raise MalformedInputError("horizon must be positive")
+    if horizon > MAX_HORIZON:
+        raise MalformedInputError(
+            f"horizon must be at most {MAX_HORIZON}, got {horizon}")
     if x.is_zero(tolerance()):
         raise MalformedInputError("the zero vector cannot be wandering")
+
+
+def _first_return(orbit: OrbitRecord, start: int, steps: int, tol: float):
+    """First r >= start, up to the end of an orbit of ``steps``, with
+    |<T^r x, x>| > tol, or None; x is the orbit's first vector and its
+    support lies within the orbit's reference positions.
+
+    The orbit grows one step per test, so it stops at the first return.
+    It also stops once the orbit has escaped: from the onset on, every
+    support lies clear of the reference positions, so every later inner
+    product with x is exactly 0.
+    """
+    x = orbit.vectors[0]
+    for r in range(start, orbit.last_step(steps) + 1):
+        if orbit.status == ESCAPED and orbit.onset <= r:
+            return None
+        if not orbit.reach(r):
+            return None
+        if abs(orbit.vectors[r].inner(x)) > tol:
+            return r
+    return None
 
 
 def is_wandering(v: StructuredIsometry, x: HVector,
@@ -275,13 +387,13 @@ def is_wandering(v: StructuredIsometry, x: HVector,
 
     Exact when the orbit escapes (drift) or recurs (finite-lane pigeonhole)
     within the horizon; a violation is reported with its first exponent.
+    The orbit is grown only until the first violation or its escape.
     """
     _check_wandering_input(x, horizon)
-    orbit = forward_orbit(v, x, horizon)
-    tol = tolerance()
-    for n in range(1, len(orbit.vectors)):
-        if abs(orbit.vectors[n].inner(x)) > tol:
-            return false_certificate(horizon, n)
+    orbit = forward_orbit(v, x)
+    n = _first_return(orbit, 1, horizon, tolerance())
+    if n is not None:
+        return false_certificate(horizon, n)
     return true_certificate(horizon, exact=orbit.certified)
 
 
@@ -304,8 +416,9 @@ def _pair_ranks(horizon: int) -> np.ndarray:
     return rank
 
 
-def _overlap_cutoff(a: np.ndarray, tol: float) -> float:
-    """Prefilter cutoff for |<a_i, a_j>| taken from the dense product.
+def _overlap_cutoff(rows: int, norm: float, tol: float) -> float:
+    """Prefilter cutoff for |<a_i, a_j>| taken from the dense product of
+    columns with ``rows`` entries and norms up to ``norm``.
 
     The dense and the sparse sum of a complex dot product over ``rows``
     entries each lie within about (rows + 3) u ||a_i|| ||a_j|| of the exact
@@ -317,52 +430,78 @@ def _overlap_cutoff(a: np.ndarray, tol: float) -> float:
     slack needs more room; for large vectors it drops below zero and every
     pair is re-measured.
     """
-    norm = float(np.linalg.norm(a, axis=0).max())
-    slack = 4 * (a.shape[0] + 2) * np.finfo(float).eps * norm * norm
+    slack = 4 * (rows + 2) * _EPS * norm * norm
     return min(0.5 * tol, tol - slack)
 
 
-def _first_overlap(horizon: int, fwd: list[HVector], back: list[HVector],
+def _append_columns(a: np.ndarray, rows: dict, vectors) -> np.ndarray:
+    """``a`` with the vectors appended as columns.  Rows follow the order in
+    which indices first appear, and ``rows`` (index -> row) is extended in
+    place, so earlier columns keep their rows and only gain zeros."""
+    for v in vectors:
+        for idx in v._entries:
+            rows.setdefault(idx, len(rows))
+    out = np.zeros((len(rows), a.shape[1] + len(vectors)), dtype=complex)
+    out[:a.shape[0], :a.shape[1]] = a
+    for j, v in enumerate(vectors, start=a.shape[1]):
+        for idx, c in v._entries.items():
+            out[rows[idx], j] = c
+    return out
+
+
+def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
                    tol: float):
     """First pair (n, m) in canonical order with |<V^n x, V^m x>| > tol, then
     the first (r, 0) with r > horizon in the extended forward range, or
     None.
 
-    The table holds V*^k x (k = horizon .. 1, zero past a dead backward
-    orbit) and V^k x (k = 0 .. horizon, the last orbit vector past a dead
-    forward one), as columns -horizon .. horizon of one dense matrix.  Its
-    Gram matrix, in blocks of rows, marks every pair that may pass ``tol``;
-    the suspects are re-measured with the sparse inner product in
-    canonical order, so the first one above ``tol`` is the witness the
-    pair-by-pair loop would report.
+    The table's column k is V^k x for k >= 0 (the last orbit vector past a
+    dead forward orbit) and V*^-k x for k < 0 (zero past a dead backward
+    one).  It is scanned in shells max(|n|, |m|) <= s for s = 1, 2, 4, ...,
+    horizon, growing both orbits only as far as the shell needs.  Each
+    shell appends its new columns to one dense matrix and forms only their
+    Gram rows, which mark every pair that may pass ``tol``; the suspects
+    are re-measured with the sparse inner product in canonical order.  The
+    canonical order sorts by max(|n|, |m|) first and earlier shells came
+    out clean, so the first confirmed suspect is the witness the
+    pair-by-pair loop over the whole table would report.
     """
     zero = HVector.zero()
-    table = [back[k] if k < len(back) else zero
-             for k in range(horizon, 0, -1)]
-    table += [fwd[k] if k < len(fwd) else fwd[-1]
-              for k in range(horizon + 1)]
-    a = _linalg.Window(table).matrix(table)
-    cutoff = _overlap_cutoff(a, tol)
     rank = _pair_ranks(horizon)
-    suspects = []
-    for start, block in _linalg.blocks(a):
-        # gram[r, j] = <a_j, a_(start + r)>, kept for j < start + r
-        gram = block.conj().T @ a[:, :start + block.shape[1]]
-        rows, cols = np.nonzero(np.tril(np.abs(gram) > cutoff, k=start - 1))
-        suspects.append((rank[rows + start, cols], rows + start, cols))
-    ranks, rows, cols = (np.concatenate(part) for part in zip(*suspects))
-    for s in np.argsort(ranks):
-        i, j = int(rows[s]), int(cols[s])
-        if abs(table[i].inner(table[j])) > tol:
-            return (i - horizon, j - horizon)
+    # shells append the columns of exponents 1, -1, 2, -2, ... after x's
+    exponents = np.arange(2 * horizon + 1)
+    exponents = np.where(exponents % 2, (exponents + 1) // 2, -exponents // 2)
+    table = {0: fwd.vectors[0]}
+    rows: dict = {}
+    a = _append_columns(np.zeros((0, 0), dtype=complex), rows, [table[0]])
+    norm = float(np.linalg.norm(a))
+    reached = 0
+    while reached < horizon:
+        shell = min(2 * reached, horizon) or 1
+        new = exponents[2 * reached + 1:2 * shell + 1].tolist()
+        for k in new:
+            if k > 0:
+                table[k] = fwd.vectors[k] if fwd.reach(k) else fwd.vectors[-1]
+            else:
+                table[k] = back.vectors[-k] if back.reach(-k) else zero
+        start = a.shape[1]
+        a = _append_columns(a, rows, [table[k] for k in new])
+        norm = max(norm, float(np.linalg.norm(a[:, start:], axis=0).max()))
+        found_i, found_j = _linalg.gram_suspects(
+            a, start, _overlap_cutoff(a.shape[0], norm, tol))
+        ei, ej = exponents[found_i], exponents[found_j]
+        big, small = np.maximum(ei, ej), np.minimum(ei, ej)
+        for s in np.argsort(rank[big + horizon, small + horizon]):
+            n, m = int(big[s]), int(small[s])
+            if abs(table[n].inner(table[m])) > tol:
+                return (n, m)
+        reached = shell
     # the forward values must also cover the extended range used to reduce
     # mixed pairs <V^n x, V*^m x> = <V^(n+m) x, x>.  These vectors stay out
     # of the dense table: their supports drift away from x's, so they would
     # widen its window for overlaps that are mostly empty.
-    for r in range(horizon + 1, len(fwd)):
-        if abs(fwd[r].inner(fwd[0])) > tol:
-            return (r, 0)
-    return None
+    r = _first_return(fwd, horizon + 1, 2 * horizon, tol)
+    return None if r is None else (r, 0)
 
 
 def is_strongly_wandering(v: StructuredIsometry, x: HVector,
@@ -370,29 +509,37 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
     """Whether V^n x ⊥ V^m x for all distinct n, m in [-horizon, horizon],
     adjoint powers standing in for negative powers.
 
-    For a unitary operator every pair reduces to a forward test of the
-    difference exponent.  Otherwise the pair table is checked directly, and
-    a violation is reported as the first pair in canonical order: small
+    Orbits are grown only until the answer is fixed.  For a unitary
+    operator every pair reduces to a forward test of the difference
+    exponent, so the forward orbit is stepped and tested until the first
+    return or until it escapes.  Otherwise the pair table is scanned in
+    shells max(|n|, |m|) <= s for s = 1, 2, 4, ..., horizon, and a
+    violation is reported as the first pair in canonical order: small
     exponents first, forward pairs before adjoint ones (see
-    ``_pair_ranks``).  The table's overlaps come from one dense Gram matrix
-    used as a prefilter; every pair it flags is confirmed by re-measuring
-    it with the sparse inner product, so the verdict and the witness do not
-    depend on BLAS rounding.  Exactness additionally requires the backward
-    orbit to die out, which reduces every untested mixed or backward pair
-    to a certified forward one or to zero.
+    ``_pair_ranks``).  Since that order sorts by max(|n|, |m|) first, the
+    first violation in a shell is the first of the whole table, and a
+    shell adds only the pairs that reach its new exponents.  Each shell's
+    overlaps come from the Gram rows of its new columns, used as a
+    prefilter; every pair they flag is confirmed by re-measuring it with
+    the sparse inner product, so the verdict and the witness do not depend
+    on BLAS rounding.  A clean table is followed by the extended forward
+    range, tested only while the forward orbit has not escaped.  Exactness
+    additionally requires the backward orbit to die out within the
+    horizon, which reduces every untested mixed or backward pair to a
+    certified forward one or to zero.
     """
     _check_wandering_input(x, horizon)
     tol = tolerance()
     if is_unitary(v):
-        orbit = forward_orbit(v, x, 2 * horizon)
-        for r in range(1, len(orbit.vectors)):
-            if abs(orbit.vectors[r].inner(x)) > tol:
-                return false_certificate(horizon, (r, 0))
+        orbit = forward_orbit(v, x)
+        r = _first_return(orbit, 1, 2 * horizon, tol)
+        if r is not None:
+            return false_certificate(horizon, (r, 0))
         return true_certificate(horizon, exact=orbit.certified)
 
-    back = backward_orbit(v, x, horizon)
-    fwd = forward_orbit(v, x, 2 * horizon)
-    witness = _first_overlap(horizon, fwd.vectors, back.vectors, tol)
+    back = backward_orbit(v, x)
+    fwd = forward_orbit(v, x)
+    witness = _first_overlap(horizon, fwd, back, tol)
     if witness is not None:
         return false_certificate(horizon, witness)
     exact = _strong_exactness(v, x, horizon, fwd, back)
@@ -529,7 +676,8 @@ def strongly_wandering_span(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
 
     Candidates are the canonical window vectors plus the kernel orbit
     vectors.  The default horizon tracks the depth so that the backward
-    orbits of deep window vectors still die out inside it.
+    orbits of deep window vectors still die out inside it; from depth 512
+    on it exceeds ``MAX_HORIZON`` and the call is refused.
     """
     if horizon is None:
         horizon = depth + 1
@@ -602,7 +750,7 @@ def minimal_unitary_extension(v: StructuredIsometry,
     widenable: set[int] | None = set()
     for w in kernel:
         supp = w.support()
-        if len(supp) == 1 and abs(abs(w.coefficient(supp[0])) - 1.0) < 1e-9 \
+        if len(supp) == 1 and abs(abs(w.coefficient(supp[0])) - 1.0) < WIDENING_TOL \
                 and _is_pure_tail_kernel_lane(v, supp[0].lane):
             widenable.add(supp[0].lane)
         else:

@@ -163,12 +163,78 @@ def sparse_intersection(basis_a, basis_b, drop_tol: float = ORTHO_DROP_TOL):
     return sparse_sweep(combos, drop_tol=drop_tol)
 
 
-# -- reference strong-wandering pair scan ---------------------------------------
+# -- reference orbits and wandering scans -----------------------------------------
 #
-# The pair-by-pair scan that the Gram-matrix prefilter of
-# ``wold.is_strongly_wandering`` replaced: the pair list rebuilt and sorted
-# on every call, then one sparse inner product per pair until the first
-# violation.  Kept as the reference the dense scan is tested against.
+# The eager orbit routine that resumable ``OrbitRecord``s replaced: the whole
+# orbit up front, with every earlier vector of the same support signature
+# compared by ``approx_equals`` at each step.  And the scans that ran on
+# those full orbits: ``is_wandering`` and the unitary branch testing every
+# forward exponent, and the pair-by-pair loop that the Gram-matrix
+# prefilter of ``wold.is_strongly_wandering`` replaced, the pair list
+# rebuilt and sorted on every call, one sparse inner product per pair until
+# the first violation.  Kept as the references the lazy scans are tested
+# against.
+
+
+def eager_orbit(op: StructuredIsometry, x: HVector, steps: int,
+                ref_lo=None, ref_hi=None, backward: bool = False):
+    """The orbit of x under V (or V*) to steps + dip + 2, O(n^2) recurrence
+    search included."""
+    from woldlab import wold
+    from woldlab.config import tolerance
+
+    if ref_lo is None or ref_hi is None:
+        positions = [idx.position for idx in x.support()] or [0]
+        ref_lo = min(positions) if ref_lo is None else ref_lo
+        ref_hi = max(positions) if ref_hi is None else ref_hi
+    tol = tolerance()
+    ctx = wold._EscapeContext(op, ref_lo, ref_hi, backward)
+    step = op.apply_adjoint if backward else op.apply
+    max_steps = steps + ctx.dip + 2
+    vectors = [x]
+    signatures = [wold._support_signature(x)]
+    status, onset = wold.OPEN, None
+    if ctx.escaped(x):
+        status, onset = wold.ESCAPED, 0
+    for n in range(1, max_steps + 1):
+        v = step(vectors[-1])
+        vectors.append(v)
+        signatures.append(wold._support_signature(v))
+        if v.is_zero(tol):
+            if status == wold.OPEN:
+                status, onset = wold.DIED, n
+            break
+        if status == wold.OPEN:
+            if ctx.escaped(v):
+                status, onset = wold.ESCAPED, n
+            else:
+                for m in range(n):
+                    if signatures[m] == signatures[n] and \
+                            v.approx_equals(vectors[m], tol):
+                        status, onset = wold.PERIODIC, n
+                        break
+    return wold.OrbitRecord(vectors, status, onset)
+
+
+def _kernel_unitary(v: StructuredIsometry) -> bool:
+    from woldlab import wold
+
+    return wold.kernel_of_adjoint(v).dim == 0
+
+
+def loop_wandering(v: StructuredIsometry, x: HVector, horizon: int):
+    """``is_wandering`` on the full eager orbit: every exponent tested."""
+    from woldlab import wold
+    from woldlab.certificates import false_certificate, true_certificate
+    from woldlab.config import tolerance
+
+    wold._check_wandering_input(x, horizon)
+    tol = tolerance()
+    orbit = eager_orbit(v, x, horizon)
+    for n in range(1, len(orbit.vectors)):
+        if abs(orbit.vectors[n].inner(x)) > tol:
+            return false_certificate(horizon, n)
+    return true_certificate(horizon, exact=orbit.certified)
 
 
 def scan_pairs(horizon: int):
@@ -182,18 +248,23 @@ def scan_pairs(horizon: int):
 
 
 def loop_strongly_wandering(v: StructuredIsometry, x: HVector, horizon: int):
-    """``is_strongly_wandering`` with the non-unitary pair table checked one
-    sparse inner product at a time in ``scan_pairs`` order."""
+    """``is_strongly_wandering`` on full eager orbits: every forward
+    exponent to 2 horizon + dip + 2 for a unitary, else the pair table
+    checked one sparse inner product at a time in ``scan_pairs`` order,
+    then the extended forward range."""
     from woldlab import wold
     from woldlab.certificates import false_certificate, true_certificate
     from woldlab.config import tolerance
 
-    if wold.is_unitary(v):
-        return wold.is_strongly_wandering(v, x, horizon)
     wold._check_wandering_input(x, horizon)
     tol = tolerance()
-    back = wold.backward_orbit(v, x, horizon)
-    fwd = wold.forward_orbit(v, x, 2 * horizon)
+    fwd = eager_orbit(v, x, 2 * horizon)
+    if _kernel_unitary(v):
+        for r in range(1, len(fwd.vectors)):
+            if abs(fwd.vectors[r].inner(x)) > tol:
+                return false_certificate(horizon, (r, 0))
+        return true_certificate(horizon, exact=fwd.certified)
+    back = eager_orbit(v, x, horizon, backward=True)
     table = {}
     for k in range(0, horizon + 1):
         table[k] = fwd.vectors[k] if k < len(fwd.vectors) else fwd.vectors[-1]

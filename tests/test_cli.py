@@ -297,6 +297,17 @@ def test_wander_rejects_nonpositive_horizon(capsys, horizon):
         assert err == "error: horizon must be positive\n"
 
 
+def test_wander_rejects_horizon_above_the_bound(capsys):
+    for strong in ((), ("--strong",)):
+        code, out, err = run_cli(
+            capsys, "wander", "--input", "catalog:bilateral_plus_shift",
+            "--vector", "1:0=1", "--horizon", "513", *strong,
+        )
+        assert code == cli.INVALID
+        assert out == ""
+        assert err == "error: horizon must be at most 512, got 513\n"
+
+
 @pytest.mark.parametrize("vector", [
     "0:0=1e300,0:1=1e300", "0:0=1e200", "0:0=inf", "0:0=nan",
     "0:0=1+nani", "0:0=1e308,0:0=1e308",

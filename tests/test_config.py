@@ -1,6 +1,13 @@
 """Tolerance policy and certificate invariants."""
 
+import io
+import re
+import tokenize
+from pathlib import Path
+
 import pytest
+
+import woldlab
 
 from woldlab.certificates import Certificate
 from woldlab.config import MAX_TOLERANCE, tolerance
@@ -45,6 +52,21 @@ def test_loose_tolerance_admits_sloppy_columns(monkeypatch):
         build()
     monkeypatch.setenv("WOLDLAB_TOLERANCE", "0.01")
     build()
+
+
+def test_tolerances_are_named_in_config():
+    """No ``1e-N`` literal in the package outside ``config.py``, where each
+    tolerance is named with its role (comments and strings do not count)."""
+    package = Path(woldlab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        found += [f"{path.name}:{tok.start[0]}: {tok.string}" for tok in tokens
+                  if tok.type == tokenize.NUMBER
+                  and re.fullmatch(r"[\d.]*[eE]-\d+", tok.string)]
+    assert found == []
 
 
 def test_certificate_invariants():

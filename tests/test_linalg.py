@@ -223,3 +223,22 @@ def test_reports_agree_across_blas_thread_counts(name):
     (code_1, report_1), (code_2, report_2) = runs
     assert code_1 == code_2
     _same_report(report_1, report_2)
+
+
+@pytest.mark.parametrize("columns, start", [(5, 0), (70, 0), (150, 3),
+                                            (150, 64), (150, 149), (4, 4)])
+def test_gram_suspects_match_the_pair_loop(columns, start):
+    """Every pair (i, j), j < i, i >= start, above the cutoff, in row-major
+    order, across block boundaries."""
+    rng = np.random.default_rng(columns + start)
+    a = rng.normal(size=(12, columns)) + 1j * rng.normal(size=(12, columns))
+    # in the widest gap between the middle overlaps, so rounding cannot
+    # move a pair across
+    overlaps = np.sort(np.abs(a.conj().T @ a).ravel())
+    middle = overlaps[overlaps.size // 4:3 * overlaps.size // 4]
+    k = int(np.argmax(np.diff(middle)))
+    cutoff = float(middle[k] + middle[k + 1]) / 2
+    want = [(i, j) for i in range(start, columns) for j in range(i)
+            if abs(np.vdot(a[:, j], a[:, i])) > cutoff]
+    rows, cols = _linalg.gram_suspects(a, start, cutoff)
+    assert list(zip(rows.tolist(), cols.tolist())) == want

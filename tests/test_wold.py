@@ -5,15 +5,27 @@ import math
 
 import pytest
 
-from oracle import loop_strongly_wandering, scan_pairs
+from oracle import (
+    eager_orbit,
+    loop_strongly_wandering,
+    loop_wandering,
+    scan_pairs,
+)
 from samples import (
     random_hvector,
     random_structured_isometry,
     structured_catalog_operators,
 )
 from woldlab import catalog, wold
-from woldlab.config import tolerance
-from woldlab.core import BasisIndex, HVector, inner
+from woldlab.config import MAX_HORIZON, tolerance
+from woldlab.core import (
+    BasisIndex,
+    HVector,
+    LaneSpec,
+    StructuredIsometry,
+    TailRule,
+    inner,
+)
 from woldlab.errors import MalformedInputError, PreconditionError
 from woldlab.wold import (
     backward_orbit,
@@ -149,6 +161,12 @@ def test_nonpositive_horizon_rejected(shift, check, horizon):
         check(shift, basis(0, 0), horizon)
 
 
+@pytest.mark.parametrize("check", [is_wandering, is_strongly_wandering])
+def test_horizon_above_the_bound_rejected(shift, check):
+    with pytest.raises(MalformedInputError, match=f"at most {MAX_HORIZON}"):
+        check(shift, basis(0, 0), MAX_HORIZON + 1)
+
+
 def test_wandering_randomized_against_definition():
     for seed in range(40):
         op = catalog.bilateral_plus_shift()
@@ -245,6 +263,125 @@ def test_strong_scan_at_the_tolerance(shift, size, factor, gap, witness):
             assert got.is_true and got.exact
         else:
             assert got.is_false and got.witness == witness
+
+
+def _wandering_grid():
+    ops = [op for _, op in structured_catalog_operators()]
+    return ops + [random_structured_isometry(seed) for seed in range(24)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
+def test_lazy_scans_match_full_orbits(scale):
+    """Orbits grown only until the answer is fixed give the verdict,
+    exactness and witness of the scans over full eager orbits, for
+    ``is_wandering`` and both branches of ``is_strongly_wandering``."""
+    unitary = 0
+    for k, op in enumerate(_wandering_grid()):
+        unitary += is_unitary(op)
+        for seed in range(4):
+            x = random_hvector(op, 700 + 10 * k + seed).scaled(scale)
+            for horizon in STRONG_SCAN_HORIZONS:
+                assert _strong_verdict(is_wandering(op, x, horizon)) == \
+                    _strong_verdict(loop_wandering(op, x, horizon)), \
+                    (k, seed, horizon)
+                assert _strong_verdict(is_strongly_wandering(op, x, horizon)) \
+                    == _strong_verdict(loop_strongly_wandering(op, x, horizon)), \
+                    (k, seed, horizon)
+    assert unitary > 0
+
+
+@pytest.mark.parametrize("gap", [3, 5, 9, 17, 33])
+def test_strong_witness_in_each_shell(shift, gap):
+    """x = e0 + c e_gap on the shift first fails at the mixed pair
+    (ceil(gap / 2), -floor(gap / 2)), so the witness falls in later and
+    later shells, up to the last one at horizon 17."""
+    x = basis(0, 0) + basis(0, gap, 1.1 * tolerance())
+    for horizon in (4, 16, 17, 40):
+        got = is_strongly_wandering(shift, x, horizon)
+        assert _strong_verdict(got) == \
+            _strong_verdict(loop_strongly_wandering(shift, x, horizon))
+        if (gap + 1) // 2 <= horizon:
+            assert got.witness == ((gap + 1) // 2, -(gap // 2))
+
+
+def _counting(op):
+    """op with its apply and apply_adjoint counted in ``op.calls``."""
+    op.calls = {"apply": 0, "apply_adjoint": 0}
+    for name in op.calls:
+        def counted(x, _name=name, _f=getattr(op, name)):
+            op.calls[_name] += 1
+            return _f(x)
+        setattr(op, name, counted)
+    return op
+
+
+def test_lazy_scans_stop_at_the_answer(shift, fixed_plus_shift, bilateral):
+    """Orbits stop at the first witness, at an escape, and, behind a clean
+    strong table, after horizon backward steps."""
+    op = _counting(fixed_plus_shift)
+    cert = is_strongly_wandering(op, basis(0, 0), 96)
+    assert cert.witness == (1, 0)
+    assert op.calls == {"apply": 1, "apply_adjoint": 1}
+    op = _counting(shift)
+    assert is_wandering(op, basis(0, 0), 96).exact
+    assert op.calls["apply"] == 2  # escaped at its second step
+    op = _counting(bilateral)
+    assert is_strongly_wandering(op, basis(0, 0), 96).exact
+    assert op.calls == {"apply": 2, "apply_adjoint": 0}
+    # a clean table needs V^40 x and V*^40 x, not the eager h + dip + 2
+    # backward steps; the forward orbit escaped before the extended range
+    op = _counting(catalog.bilateral_plus_shift())
+    cert = is_strongly_wandering(op, basis(0, 0), 40)
+    assert cert.is_true and cert.exact
+    assert op.calls == {"apply": 40, "apply_adjoint": 40}
+
+
+def test_lazy_scans_on_long_lingering_orbits():
+    """lingering_core's backward orbits decay inside the finite core without
+    dying or recurring, so the recurrence search runs over the whole orbit."""
+    op = catalog.lingering_core()
+    vectors = [basis(0, 0), basis(0, 1), basis(0, 0) + basis(1, 3, 0.5)]
+    vectors += [random_hvector(op, 900 + seed) for seed in range(3)]
+    for x in vectors:
+        assert backward_orbit(op, x, 96).status == "open"
+        for horizon in (96, 160):
+            assert _strong_verdict(is_wandering(op, x, horizon)) == \
+                _strong_verdict(loop_wandering(op, x, horizon))
+            assert _strong_verdict(is_strongly_wandering(op, x, horizon)) == \
+                _strong_verdict(loop_strongly_wandering(op, x, horizon))
+
+
+def _leaky_cycle(factor: float, with_shift: bool) -> StructuredIsometry:
+    """A 2-cycle whose column (0, 0) has norm ``factor``, accepted by a
+    loose validation tolerance, so forward orbits decay and die; with
+    ``with_shift`` a shift lane makes the operator non-unitary."""
+    lanes = [LaneSpec(0, "finite", 2)]
+    columns = {BasisIndex(0, 0): basis(0, 1, factor),
+               BasisIndex(0, 1): basis(0, 0)}
+    rules = []
+    if with_shift:
+        lanes.append(LaneSpec(1, "naturals"))
+        rules.append(TailRule(1, 0, 1, 1))
+    return StructuredIsometry(lanes, columns, rules, tol=0.8)
+
+
+@pytest.mark.parametrize("with_shift", [False, True])
+def test_lazy_scans_on_dead_forward_orbits(with_shift):
+    """Forward orbits that die inside the table (padded with their last
+    vector) and inside the extended range."""
+    op = _leaky_cycle(0.3, with_shift)
+    assert is_unitary(op) is not with_shift
+    died = forward_orbit(op, basis(0, 0), 96)
+    assert died.status == "died" and 17 < died.onset < 96
+    vectors = [basis(0, 0), basis(0, 0) + basis(0, 1, 0.25)]
+    if with_shift:
+        vectors.append(basis(0, 1) + basis(1, 2, 1e-3))
+    for x in vectors:
+        for horizon in (17, 60, 96):
+            assert _strong_verdict(is_wandering(op, x, horizon)) == \
+                _strong_verdict(loop_wandering(op, x, horizon))
+            assert _strong_verdict(is_strongly_wandering(op, x, horizon)) == \
+                _strong_verdict(loop_strongly_wandering(op, x, horizon))
 
 
 def test_proof_identity_for_wandering_vectors():
@@ -573,3 +710,84 @@ def test_orbit_classification(shift, bilateral):
                         kernel_of_adjoint(catalog.lingering_core()).generators[0],
                         16)
     assert rec.status == "open"
+
+
+def _same_orbit(got, want) -> bool:
+    """Equal vectors, entry by entry in dict order, and equal status and
+    onset."""
+    return ([list(v._entries.items()) for v in got.vectors], got.status,
+            got.onset) == \
+        ([list(v._entries.items()) for v in want.vectors], want.status,
+         want.onset)
+
+
+def test_extended_orbit_equals_fresh_orbit():
+    """A record extended from s to t steps, or grown step by step from x
+    alone, holds the vectors, status and onset of a fresh t-step orbit and
+    of the eager reference."""
+    statuses = set()
+    for k, op in enumerate(_wandering_grid()):
+        for seed in range(3):
+            x = random_hvector(op, 300 + 10 * k + seed)
+            for backward in (False, True):
+                start = backward_orbit if backward else forward_orbit
+                for s, t in ((0, 9), (3, 40)):
+                    fresh = start(op, x, t)
+                    want = eager_orbit(op, x, t, backward=backward)
+                    assert _same_orbit(fresh, want), (k, seed, backward, t)
+                    assert _same_orbit(start(op, x, s).extend(t), want)
+                    lazy = start(op, x)
+                    for n in range(1, 2 * s + 2):
+                        lazy.reach(n)
+                    assert _same_orbit(lazy.extend(t), want)
+                    statuses.add(want.status)
+    assert statuses == {"escaped", "periodic", "died", "open"}
+
+
+def _decaying_cycle(factor: float) -> StructuredIsometry:
+    """lingering_core with column (0, 0) = factor e_(0,1) + b e_(1,0): the
+    backward orbit of e_(0,0) is e00, e01, factor e00, factor e01, ..., so
+    its second step differs from x by 1 - factor in norm and in distance."""
+    b = math.sqrt(1.0 - factor * factor)
+    col = HVector([(BasisIndex(0, 1), factor), (BasisIndex(1, 0), b)])
+    return StructuredIsometry(
+        [LaneSpec(0, "finite", 2), LaneSpec(1, "naturals")],
+        {BasisIndex(0, 0): col, BasisIndex(0, 1): basis(0, 0)},
+        [TailRule(1, 0, 1, 1)],
+    )
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_recurrence_norm_filter_at_the_tolerance(monkeypatch, factor):
+    """Vectors whose norms differ by 0.9 tol still go to ``approx_equals``,
+    which finds the recurrence; at 1.1 tol the norm filter skips every
+    candidate, and the orbit stays open, as in the eager search."""
+    op = _decaying_cycle(1.0 - factor * tolerance())
+    x = basis(0, 0)
+    want = eager_orbit(op, x, 40, backward=True)
+    calls = []
+    original = HVector.approx_equals
+    monkeypatch.setattr(HVector, "approx_equals",
+                        lambda self, *a: calls.append(1) or original(self, *a))
+    got = backward_orbit(op, x, 40)
+    monkeypatch.undo()
+    assert _same_orbit(got, want)
+    if factor < 1:
+        assert (got.status, got.onset) == ("periodic", 2)
+        assert len(calls) == 1
+    else:
+        assert got.status == "open" and len(got.vectors) > 40
+        assert calls == []
+    for horizon in (2, 17):
+        assert _strong_verdict(is_strongly_wandering(op, x, horizon)) == \
+            _strong_verdict(loop_strongly_wandering(op, x, horizon))
+
+
+def test_unitarity_by_count_matches_kernel():
+    """dim ker V* = untailed indices - explicit columns, so the count test
+    agrees with the kernel on every catalog operator and 400 random ones."""
+    ops = [op for _, op in structured_catalog_operators()]
+    ops += [random_structured_isometry(seed) for seed in range(400)]
+    verdicts = [is_unitary(op) for op in ops]
+    assert verdicts == [kernel_of_adjoint(op).dim == 0 for op in ops]
+    assert 0 < sum(verdicts) < len(ops)
