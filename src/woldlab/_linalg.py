@@ -1,19 +1,39 @@
-"""Dense window kernel for subspace arithmetic on sparse vectors.
+"""Window kernel for subspace arithmetic on sparse vectors.
 
-Every routine converts its input families once to a dense complex matrix
+Every routine converts its input families once to dense complex matrices
 over a ``Window`` (the sorted joint support of the inputs, one row per
 ``BasisIndex``), does all of its work there with numpy, and converts the
 result back to ``HVector`` once.  ``HVector`` stays the type at the operator
 boundary; nothing here applies an operator.
 
-Generated bases come from one sweep, ``_extend``: classical Gram-Schmidt in
+The window is split into the connected components of the inputs' supports:
+two indices share a component when some vector of some input family, wall
+included, touches both.  The split is read from the supports, never from
+numerical zeros of intermediate results.  Every vector lives in one
+component (the zero vector in none), and vectors in different components
+are exactly orthogonal, so each routine works on every component's rows and
+columns alone: Gram-Schmidt sweeps, projections, SVD spans and nullspaces
+cost the sum of their blocks instead of one product over the whole window.
+Components of equal shape are stacked and done by the same numpy calls, so
+hundreds of one- or two-row blocks cost a few calls, not hundreds.  Results
+are merged back in global input order.
+
+Generated bases come from one sweep, ``_sweep``: classical Gram-Schmidt in
 input order with two projections per column ("twice is enough").  A column
 is kept when its residual norm reaches the drop threshold, and is then
 normalized, projected once more and normalized again, so near-dependent
-inputs cannot leak their rounding noise into the basis.  The fixed
-threshold and order make bases canonical: two runs in the same environment
-give identical output.  Matrix products go through BLAS, so the last digits
-of coefficients can depend on the BLAS build and its thread count.
+inputs cannot leak their rounding noise into the basis.  A component whose
+basis fills its rows takes no further columns, and columns with empty
+support are dropped.  The fixed threshold and order make bases canonical:
+two runs in the same environment give identical output.
+
+Rank cutoffs of SVD spans and nullspaces compare each singular value with
+the largest singular value of the whole matrix, not of its component, so a
+small block next to a large one is judged as the dense matrix would be.
+
+Matrix products go through BLAS, and components group the sums of a
+product differently from the whole-window product, so the last digits of
+coefficients can depend on the BLAS build, its thread count and the split.
 """
 
 from __future__ import annotations
@@ -29,48 +49,433 @@ from .config import (
 )
 from .core import HVector
 
-# columns per in-place projection block: bounds the temporaries of
-# ``block -= q @ (q^H @ block)`` to (basis + 2 rows) x _BLOCK entries
+# columns per block of the Gram matrix in ``gram_suspects``: bounds its
+# temporaries to _BLOCK x columns entries
 _BLOCK = 64
 
 
-class Window:
-    """Sorted joint support of some vector families, one row per index."""
+def _components(n: int, groups) -> np.ndarray:
+    """Labels of the connected components of 0..n-1, where each group of
+    members is joined, numbered in order of their least member."""
+    parent = list(range(n))
+    joined = False
+    for group in groups:
+        roots = set()
+        for i in group:
+            while parent[i] != i:
+                i = parent[i]
+            roots.add(i)
+        if len(roots) > 1:
+            joined = True
+            low = min(roots)
+            for r in roots:
+                parent[r] = low
+    if not joined:
+        return np.arange(n)
+    ids: dict[int, int] = {}
+    label = []
+    for i in range(n):
+        # parents have smaller indices, so theirs are already final; a
+        # root is the least member, so ids come in order of least members
+        parent[i] = root = parent[parent[i]]
+        label.append(ids.setdefault(root, len(ids)))
+    return np.array(label)
 
-    __slots__ = ("indices", "row")
+
+class Window:
+    """Sorted joint support of some vector families, one row per index,
+    with each row labelled by its component of the families' supports."""
+
+    __slots__ = ("indices", "row", "label", "count")
 
     def __init__(self, *families):
         self.indices = sorted({idx for family in families for v in family
                                for idx in v._entries})
-        self.row = {idx: i for i, idx in enumerate(self.indices)}
+        self.row = row = {idx: i for i, idx in enumerate(self.indices)}
+        self.label = _components(len(self.indices), (
+            [row[idx] for idx in v._entries]
+            for family in families for v in family if len(v._entries) > 1))
+        self.count = int(self.label.max()) + 1 if self.indices else 0
 
     def matrix(self, vectors) -> np.ndarray:
         """The vectors as the columns of a dense matrix over the window."""
+        return self.columns(vectors)[0]
+
+    def columns(self, vectors) -> tuple[np.ndarray, np.ndarray]:
+        """The vectors as the columns of a dense matrix over the window,
+        and the component of each (-1 for the zero vector)."""
         a = np.zeros((len(self.indices), len(vectors)), dtype=complex)
         row = self.row
+        last = []
         for j, v in enumerate(vectors):
+            i = -1
             for idx, c in v._entries.items():
-                a[row[idx], j] = c
-        return a
+                i = row[idx]
+                a[i, j] = c
+            last.append(i)
+        # any row of a vector gives its component; -1 picks the appended -1
+        return a, np.append(self.label, -1)[last]
+
+    def join(self, labels: np.ndarray, coeffs: np.ndarray):
+        """Merge the components that one combination ``coeffs[:, k]`` of
+        the vectors labelled ``labels`` reaches across.  Returns the new
+        labels of the vectors and the label of each combination (-1 when it
+        combines only zero vectors)."""
+        k, i = np.nonzero(coeffs.T)
+        lab = labels[i]
+        k, lab = k[lab >= 0], lab[lab >= 0]
+        # pair every vector of a combination with the combination's first
+        head = lab[np.searchsorted(k, k)]
+        merged = _components(self.count,
+                             np.stack([head, lab], axis=1)[head != lab])
+        self.label = merged[self.label]
+        self.count = int(merged.max()) + 1 if self.count else 0
+        combined = np.full(coeffs.shape[1], -1, dtype=np.intp)
+        combined[k] = merged[head]
+        return np.append(merged, -1)[labels], combined
 
     def vectors(self, a: np.ndarray, prune: float = PRUNE_TOL) -> list[HVector]:
         """The columns of a dense matrix as vectors, entries at or below
         ``prune`` in modulus dropped."""
+        # one scan of the whole matrix, column by column
+        cols, rows = np.nonzero(np.abs(a.T) > prune)
         indices = self.indices
+        keys = [indices[i] for i in rows.tolist()]
+        vals = a[rows, cols].tolist()
         out = []
-        for col in a.T:
+        start = 0
+        for n in np.bincount(cols, minlength=a.shape[1]).tolist():
             v = object.__new__(HVector)
-            v._entries = {indices[i]: complex(col[i])
-                          for i in np.flatnonzero(np.abs(col) > prune)}
+            v._entries = dict(zip(keys[start:start + n], vals[start:start + n]))
             out.append(v)
+            start += n
         return out
 
 
-def blocks(a: np.ndarray):
-    """(first column, view) of ``a`` in column blocks, for in-place updates
-    and for products whose temporaries should stay small."""
-    for start in range(0, a.shape[1], _BLOCK):
-        yield start, a[:, start:start + _BLOCK]
+def _split(win: Window, *labels: np.ndarray):
+    """The window's components grouped by shape.
+
+    ``labels`` are the column labels of some matrices over the window.  For
+    each distinct shape (rows, then columns of each matrix) one tuple of
+    index arrays is yielded: the rows of its g components as a (g, r) array,
+    then the columns of each matrix as a (g, c) array.  Components come in
+    label order, indices ascending within each, so columns keep their input
+    order.  Columns labelled -1 belong to no component.
+    """
+    count = win.count
+    if count == 1:
+        yield (np.arange(win.label.size)[None, :],) + tuple(
+            np.flatnonzero(lab >= 0)[None, :] for lab in labels)
+        return
+    if not count:
+        return
+    layouts = [_layout(lab, count) for lab in (win.label,) + labels]
+    base = max(int(size.max()) for _, _, size in layouts) + 1
+    key = layouts[0][2]
+    for _, _, size in layouts[1:]:
+        key = key * base + size
+    by_shape = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[by_shape])) + 1
+    for comps in np.split(by_shape, cuts):
+        yield tuple(order[start[comps, None] + np.arange(size[comps[0]])]
+                    for order, start, size in layouts)
+
+
+def _layout(lab: np.ndarray, count: int):
+    """Indices sorted by label (-1 first, stable), where each label's run
+    starts in that order, and its length."""
+    size = np.bincount(lab[lab >= 0], minlength=count)
+    start = np.cumsum(size) - size + (lab.size - int(size.sum()))
+    return np.argsort(lab, kind="stable"), start, size
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (g, r, c) stack of the blocks a[rows[i]][:, cols[i]]."""
+    return a[rows[:, :, None], cols[:, None, :]]
+
+
+def _scatter(out: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             stack: np.ndarray) -> None:
+    out[rows[:, :, None], cols[:, None, :]] = stack
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the (g, r, 1) stack of columns, as (g, 1, 1)."""
+    return np.sqrt(np.add.reduce(x.real ** 2 + x.imag ** 2, axis=1,
+                                 keepdims=True))
+
+
+def _hdot(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b^H @ x per block, conjugating x rather than copying all of b."""
+    return (x.conj().swapaxes(1, 2) @ b).conj().swapaxes(1, 2)
+
+
+def _project_out(win: Window, a: np.ndarray, alab: np.ndarray,
+                 q: np.ndarray, qlab: np.ndarray, passes: int = 2) -> None:
+    """Subtract from each column of ``a``, in place, its projection onto the
+    orthonormal columns of ``q``, ``passes`` times, component by
+    component."""
+    for rows, acols, qcols in _split(win, alab, qlab):
+        if acols.shape[1] and qcols.shape[1]:
+            x, b = _gather(a, rows, acols), _gather(q, rows, qcols)
+            for _ in range(passes):
+                x -= b @ _hdot(b, x)
+            _scatter(a, rows, acols, x)
+
+
+def _project(win: Window, a: np.ndarray, alab: np.ndarray,
+             q: np.ndarray, qlab: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of each column of ``a`` onto the orthonormal
+    columns of ``q``."""
+    out = np.zeros_like(a)
+    for rows, acols, qcols in _split(win, alab, qlab):
+        if acols.shape[1] and qcols.shape[1]:
+            b = _gather(q, rows, qcols)
+            _scatter(out, rows, acols, b @ _hdot(b, _gather(a, rows, acols)))
+    return out
+
+
+def _merge(height: int, found) -> np.ndarray:
+    """Columns found per component as one matrix of the given height,
+    ordered by their keys; ``found`` holds (keys (m,), rows (m, r),
+    values (m, r)) chunks."""
+    keys = np.concatenate([f[0] for f in found] or [np.empty(0, np.intp)])
+    pos = np.empty(keys.size, dtype=np.intp)
+    pos[np.argsort(keys, kind="stable")] = np.arange(keys.size)
+    out = np.zeros((height, keys.size), dtype=complex)
+    first = 0
+    for chunk, rows, vals in found:
+        out[rows, pos[first:first + chunk.size, None]] = vals
+        first += chunk.size
+    return out
+
+
+def _sweep(win: Window, q: np.ndarray, qlab: np.ndarray, a: np.ndarray,
+           alab: np.ndarray, drop_tol: float) -> np.ndarray:
+    """Orthonormal columns extending the orthonormal ``q`` to span the
+    columns of ``a`` as well, swept in input order within each component;
+    only the new columns are returned, in input order."""
+    found = []
+    for rows, qcols, acols in _split(win, qlab, alab):
+        g, r = rows.shape
+        start, width = qcols.shape[1], acols.shape[1]
+        if not width or start >= r:
+            continue  # nothing offered, or the wall fills the component
+        buf = np.zeros((g, r, min(r, start + width)), dtype=complex)
+        buf[:, :, :start] = _gather(q, rows, qcols)
+        cand = _gather(a, rows, acols)
+        k = np.full(g, start)
+        every = np.arange(g)
+        top, full = start, 0  # widest basis, components filled
+        for j in range(width):
+            b = buf[:, :, :top]
+            x = cand[:, :, j:j + 1]
+            for _ in range(2):
+                x -= b @ _hdot(b, x)
+            norm = _norm(x)
+            keep = norm[:, 0, 0] >= drop_tol
+            if full:
+                keep &= k < r
+            sel = every[keep]
+            if not sel.size:
+                continue
+            if sel.size < g:
+                x, b, norm = x[sel], b[sel], norm[sel]
+            # normalizing a barely-surviving residual amplifies rounding
+            # noise, so orthogonalize once more after scaling
+            x = x / norm
+            x -= b @ _hdot(b, x)
+            x /= _norm(x)
+            buf[sel, :, k[sel]] = x[:, :, 0]
+            k[sel] += 1
+            top = max(top, int(k[sel].max()))
+            found.append((acols[sel, j], rows[sel], x[:, :, 0]))
+            full = int(np.count_nonzero(k == r))
+            if full == g:
+                break  # every basis fills its component
+    return _merge(len(win.indices), found)
+
+
+def _span(win: Window, a: np.ndarray, alab: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the columns of ``a`` down to the
+    numerical rank (SVD per component, cutoff against the largest singular
+    value overall), ordered by component, then by singular value."""
+    parts = []
+    top = 0.0
+    for rows, acols in _split(win, alab):
+        if not acols.shape[1]:
+            continue
+        x = _gather(a, rows, acols)
+        if rows.shape[1] == 1:
+            # a one-row block spans its row, or nothing
+            u = np.ones((rows.shape[0], 1, 1), dtype=complex)
+            s = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=2))
+        else:
+            u, s, _ = np.linalg.svd(x, full_matrices=False)
+        parts.append((rows, u, s))
+        top = max(top, float(s[:, 0].max()))
+    cutoff = max(SPAN_RANK_TOL, top * SPAN_RANK_TOL)
+    height = len(win.indices)
+    found = []
+    for rows, u, s in parts:
+        comp, p = np.nonzero(s > cutoff)
+        found.append((rows[comp, 0] * height + p, rows[comp], u[comp, :, p]))
+    return _merge(height, found)
+
+
+def _nullspace(win: Window, a: np.ndarray, alab: np.ndarray,
+               atol: float = NULLSPACE_ATOL) -> np.ndarray:
+    """Orthonormal coefficient columns c with a @ c = 0, up to the numerical
+    rank.  A column of ``a`` with empty support is a free direction of its
+    own.
+
+    Each component's block has its own SVD; the cutoff is
+    max(atol, NULLSPACE_RTOL * largest singular value overall).  Columns
+    come ordered by the first input column they combine.
+    """
+    n = a.shape[1]
+    parts = []
+    top = 0.0
+    for rows, acols in _split(win, alab):
+        width = acols.shape[1]
+        if not width:
+            continue
+        x = _gather(a, rows, acols)
+        if x.shape[1:] == (1, 1):
+            s = np.abs(x[:, 0, :])
+            vh = np.ones_like(x)
+        else:
+            _, s, vh = np.linalg.svd(x, full_matrices=rows.shape[1] < width)
+        parts.append((acols, s, vh))
+        top = max(top, float(s[:, 0].max()))
+    cutoff = max(atol, top * NULLSPACE_RTOL)
+    free = np.flatnonzero(alab < 0)
+    found = [(free * n, free[:, None], np.ones((free.size, 1), dtype=complex))]
+    for acols, s, vh in parts:
+        rank = np.sum(s > cutoff, axis=1)
+        comp, p = np.nonzero(np.arange(vh.shape[1]) >= rank[:, None])
+        found.append((acols[comp, 0] * n + p, acols[comp], vh[comp, p, :].conj()))
+    return _merge(n, found)
+
+
+def _combine(win: Window, a: np.ndarray, alab: np.ndarray,
+             coeffs: np.ndarray, clab: np.ndarray) -> np.ndarray:
+    """a @ coeffs, where each coefficient column labelled c combines only
+    columns of ``a`` in component c (and -1 gives a zero column)."""
+    out = np.zeros((a.shape[0], coeffs.shape[1]), dtype=complex)
+    for rows, acols, ccols in _split(win, alab, clab):
+        if acols.shape[1] and ccols.shape[1]:
+            _scatter(out, rows, ccols,
+                     _gather(a, rows, acols) @ _gather(coeffs, acols, ccols))
+    return out
+
+
+def _none(win: Window) -> tuple[np.ndarray, np.ndarray]:
+    """An empty wall over the window: no columns, no labels."""
+    return (np.zeros((len(win.indices), 0), dtype=complex),
+            np.empty(0, dtype=np.intp))
+
+
+def mgs(vectors, drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+    """Orthonormal basis of the span, in input order."""
+    vectors = list(vectors)
+    win = Window(vectors)
+    new = _sweep(win, *_none(win), *win.columns(vectors), drop_tol)
+    return win.vectors(new)
+
+
+def orthonormal_span(vectors) -> list[HVector]:
+    """Numerically tight orthonormal basis of the span (SVD-based), keeping
+    every direction down to the numerical rank.
+
+    Used for constraint walls, where near-dependent families must still be
+    fully projected out; generated bases go through ``mgs`` instead so their
+    order stays canonical.
+    """
+    vectors = list(vectors)
+    win = Window(vectors)
+    u = _span(win, *win.columns(vectors))
+    return win.vectors(u, prune=0.0)
+
+
+def complement_basis(candidates, constraints,
+                     drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+    """Orthonormal basis of span(candidates) ∩ span(constraints)^⊥.
+
+    Candidates are swept in order; whatever survives orthogonalization
+    against the constraints (and the part already kept) is added.
+    """
+    candidates = list(candidates)
+    wall = orthonormal_span(constraints)
+    win = Window(candidates, wall)
+    new = _sweep(win, *win.columns(wall), *win.columns(candidates), drop_tol)
+    return win.vectors(new)
+
+
+def orthogonal_residual(vectors, basis) -> list[HVector]:
+    """Each vector minus its projection onto an orthonormal family, two
+    classical Gram-Schmidt passes."""
+    vectors, basis = list(vectors), list(basis)
+    win = Window(vectors, basis)
+    a, alab = win.columns(vectors)
+    _project_out(win, a, alab, *win.columns(basis))
+    return win.vectors(a)
+
+
+def project(vectors, basis) -> list[HVector]:
+    """Orthogonal projection of each vector onto an orthonormal family."""
+    vectors, basis = list(vectors), list(basis)
+    win = Window(vectors, basis)
+    return win.vectors(_project(win, *win.columns(vectors),
+                                *win.columns(basis)))
+
+
+def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL,
+                           basis=()) -> np.ndarray:
+    """Coefficient matrix whose columns a satisfy sum_i a_i * vectors[i] = 0,
+    or, given an orthonormal ``basis``, lies in its span (the residual
+    against it vanishes).  The columns are orthonormal and span all such
+    combinations up to the numerical rank.  Each component of the joint
+    support has its own SVD."""
+    vectors, basis = list(vectors), list(basis)
+    win = Window(vectors, basis)
+    a, alab = win.columns(vectors)
+    if basis:
+        _project_out(win, a, alab, *win.columns(basis))
+    return _nullspace(win, a, alab, atol)
+
+
+def combinations(coeffs: np.ndarray, vectors) -> list[HVector]:
+    """sum_i coeffs[i, k] * vectors[i] for each column k of ``coeffs``."""
+    vectors = list(vectors)
+    win = Window(vectors)
+    return win.vectors(win.matrix(vectors) @ coeffs)
+
+
+def combination_basis(coeffs: np.ndarray, vectors,
+                      drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+    """Orthonormal basis, swept in order, of the combinations
+    sum_i coeffs[i, k] * vectors[i]: ``mgs(combinations(coeffs, vectors))``
+    without building the combinations as vectors."""
+    vectors = list(vectors)
+    win = Window(vectors)
+    a, labels = win.columns(vectors)
+    labels, clab = win.join(labels, coeffs)
+    mixed = _combine(win, a, labels, coeffs, clab)
+    new = _sweep(win, *_none(win), mixed, clab, drop_tol)
+    return win.vectors(new)
+
+
+def intersect_spans(basis_a, basis_b,
+                    drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+    """Orthonormal basis of span(basis_a) ∩ span(basis_b): the combinations
+    of ``basis_a`` whose residual against the orthonormal ``basis_b``
+    vanishes, swept in order."""
+    basis_a = list(basis_a)
+    if not basis_a or not basis_b:
+        return []
+    return combination_basis(
+        nullspace_combinations(basis_a, basis=basis_b), basis_a, drop_tol)
 
 
 def gram_suspects(a: np.ndarray, start: int, cutoff: float):
@@ -99,151 +504,34 @@ def gram_suspects(a: np.ndarray, start: int, cutoff: float):
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
-def _coefficients(q: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """q^H @ block, conjugating the block rather than copying all of q."""
-    return (block.conj().T @ q).conj().T
+def overlap_suspects(vectors, cutoff: float):
+    """Pairs (i, j) of the vectors, j < i, whose overlap |<v_j, v_i>|
+    exceeds ``cutoff``, as two index arrays in row-major order (by i, then
+    j).
 
-
-def _project_out(a: np.ndarray, q: np.ndarray, passes: int = 2) -> None:
-    """Subtract from each column of ``a``, in place, its projection onto the
-    orthonormal columns of ``q``, ``passes`` times."""
-    if q.shape[1] == 0:
-        return
-    for _, block in blocks(a):
-        for _ in range(passes):
-            block -= q @ _coefficients(q, block)
-
-
-def _extend(q: np.ndarray, a: np.ndarray, drop_tol: float) -> np.ndarray:
-    """Orthonormal columns extending the orthonormal ``q`` to span the
-    columns of ``a`` as well, swept in input order; only the new columns
-    are returned."""
-    rows, start = q.shape
-    buf = np.empty((rows, min(rows, start + a.shape[1])), dtype=complex,
-                   order="F")
-    buf[:, :start] = q
-    k = start
-    for j in range(a.shape[1]):
-        if k == buf.shape[1]:
-            break  # the basis spans the window; every residual is noise
-        b = buf[:, :k]
-        r = a[:, j].copy()
-        for _ in range(2):
-            r -= b @ (r.conj() @ b).conj()
-        norm = np.linalg.norm(r)
-        if norm >= drop_tol:
-            # normalizing a barely-surviving residual amplifies rounding
-            # noise, so orthogonalize once more after scaling
-            r /= norm
-            r -= b @ (r.conj() @ b).conj()
-            r /= np.linalg.norm(r)
-            buf[:, k] = r
-            k += 1
-    return buf[:, start:k]
-
-
-def _nullspace(a: np.ndarray, atol: float = NULLSPACE_ATOL) -> np.ndarray:
-    """Orthonormal columns c with a @ c = 0, up to the numerical rank."""
-    rows, n = a.shape
-    if rows == 0:
-        return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=rows < n)
-    cutoff = max(atol, float(s[0]) * NULLSPACE_RTOL) if s.size else atol
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
-
-
-def mgs(vectors, drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
-    """Orthonormal basis of the span, in input order."""
-    vectors = list(vectors)
-    win = Window(vectors)
-    empty = np.zeros((len(win.indices), 0), dtype=complex)
-    return win.vectors(_extend(empty, win.matrix(vectors), drop_tol))
-
-
-def orthonormal_span(vectors) -> list[HVector]:
-    """Numerically tight orthonormal basis of the span (SVD-based), keeping
-    every direction down to the numerical rank.
-
-    Used for constraint walls, where near-dependent families must still be
-    fully projected out; generated bases go through ``mgs`` instead so their
-    order stays canonical.
+    Vectors in different components are orthogonal, so only each
+    component's Gram matrix is formed: stacked for small components, in
+    ``gram_suspects`` blocks for large ones.  The overlaps carry BLAS
+    rounding, as there.
     """
     vectors = list(vectors)
     win = Window(vectors)
-    if not win.indices:
-        return []
-    u, s, _ = np.linalg.svd(win.matrix(vectors), full_matrices=False)
-    cutoff = max(SPAN_RANK_TOL, float(s[0]) * SPAN_RANK_TOL)
-    rank = int(np.sum(s > cutoff))
-    return win.vectors(u[:, :rank], prune=0.0)
-
-
-def complement_basis(candidates, constraints,
-                     drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
-    """Orthonormal basis of span(candidates) ∩ span(constraints)^⊥.
-
-    Candidates are swept in order; whatever survives orthogonalization
-    against the constraints (and the part already kept) is added.
-    """
-    candidates = list(candidates)
-    wall = orthonormal_span(constraints)
-    win = Window(candidates, wall)
-    return win.vectors(
-        _extend(win.matrix(wall), win.matrix(candidates), drop_tol))
-
-
-def orthogonal_residual(vectors, basis) -> list[HVector]:
-    """Each vector minus its projection onto an orthonormal family, two
-    classical Gram-Schmidt passes."""
-    vectors = list(vectors)
-    win = Window(vectors, basis)
-    a = win.matrix(vectors)
-    _project_out(a, win.matrix(basis))
-    return win.vectors(a)
-
-
-def project(vectors, basis) -> list[HVector]:
-    """Orthogonal projection of each vector onto an orthonormal family."""
-    vectors = list(vectors)
-    win = Window(vectors, basis)
-    a, q = win.matrix(vectors), win.matrix(basis)
-    for _, block in blocks(a):
-        block[...] = q @ _coefficients(q, block)
-    return win.vectors(a)
-
-
-def span_residual_norm(x: HVector, basis) -> float:
-    return orthogonal_residual([x], basis)[0].norm()
-
-
-def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL) -> np.ndarray:
-    """Coefficient matrix whose columns a satisfy sum_i a_i * vectors[i] = 0,
-    orthonormal and spanning all such combinations up to the numerical
-    rank.  Works over the joint support via one dense SVD."""
-    vectors = list(vectors)
-    win = Window(vectors)
-    return _nullspace(win.matrix(vectors), atol)
-
-
-def combinations(coeffs: np.ndarray, vectors) -> list[HVector]:
-    """sum_i coeffs[i, k] * vectors[i] for each column k of ``coeffs``."""
-    vectors = list(vectors)
-    win = Window(vectors)
-    return win.vectors(win.matrix(vectors) @ coeffs)
-
-
-def intersect_spans(basis_a, basis_b,
-                    drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
-    """Orthonormal basis of span(basis_a) ∩ span(basis_b): the combinations
-    of ``basis_a`` whose residual against ``basis_b`` vanishes."""
-    basis_a = list(basis_a)
-    if not basis_a or not basis_b:
-        return []
-    win = Window(basis_a, basis_b)
-    a = win.matrix(basis_a)
-    residual = a.copy()
-    _project_out(residual, win.matrix(basis_b))
-    inside = a @ _nullspace(residual)
-    empty = np.zeros((len(win.indices), 0), dtype=complex)
-    return win.vectors(_extend(empty, inside, drop_tol))
+    a, labels = win.columns(vectors)
+    found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for rows, cols in _split(win, labels):
+        if cols.shape[1] < 2:
+            continue
+        x = _gather(a, rows, cols)
+        if cols.shape[1] > _BLOCK:
+            for block, idx in zip(x, cols):
+                i, j = gram_suspects(block, 0, cutoff)
+                found_i.append(idx[i])
+                found_j.append(idx[j])
+            continue
+        comp, i, j = np.nonzero(np.abs(x.conj().swapaxes(1, 2) @ x) > cutoff)
+        below = j < i
+        found_i.append(cols[comp[below], i[below]])
+        found_j.append(cols[comp[below], j[below]])
+    found_i, found_j = np.concatenate(found_i), np.concatenate(found_j)
+    order = np.lexsort((found_j, found_i))
+    return found_i[order], found_j[order]

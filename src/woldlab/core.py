@@ -271,20 +271,19 @@ def _check_orthonormal(gens: tuple[HVector, ...],
     earlier one.
 
     Only pairs below the first non-unit generator are reached in that
-    order.  The Gram matrix of those generators, taken in blocks of rows so
-    its temporaries stay small, finds the suspect pairs; each is then
+    order.  The Gram matrix of those generators, one block per component
+    of their joint support, finds the suspect pairs; each is then
     re-measured with the sparse inner product, so the verdict and the
     message are those of the plain loop.
     """
-    from ._linalg import Window, gram_suspects
+    from ._linalg import overlap_suspects
 
     first_bad = next((i for i, g in enumerate(gens)
                       if abs(g.norm() - 1.0) > tol), len(gens))
     head = gens[:first_bad]
     if len(head) > 1:
-        a = Window(head).matrix(head)
         # rounding separates the two products by far less than half the bound
-        for i, j in zip(*gram_suspects(a, 0, 0.5 * tol)):
+        for i, j in zip(*overlap_suspects(head, 0.5 * tol)):
             i, j = int(i), int(j)
             overlap = abs(gens[j].inner(gens[i]))
             if overlap > tol:

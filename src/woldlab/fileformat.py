@@ -111,6 +111,11 @@ def parse_operator(text: str, name: str | None = None) -> StructuredIsometry:
                         chunk.append(token)
                 if src in columns:
                     raise DescriptionParseError(f"duplicate column for {src}", line_no)
+                if not math.isfinite(_squared_norm(c for _, c in entries)):
+                    raise DescriptionParseError(
+                        f"column {src} is not finite or its squared norm "
+                        "overflows", line_no
+                    )
                 columns[src] = HVector(entries)
             elif head == "tail":
                 if tokens[3] != "->" or tokens[5] != "offset" or tokens[7] != "phase":
@@ -129,7 +134,7 @@ def parse_operator(text: str, name: str | None = None) -> StructuredIsometry:
                 raise DescriptionParseError(f"unknown directive {head!r}", line_no)
         except DescriptionParseError:
             raise
-        except (ValueError, IndexError) as exc:
+        except (MalformedInputError, ValueError, IndexError) as exc:
             raise DescriptionParseError(str(exc), line_no) from exc
     if not lanes:
         raise DescriptionParseError("no lane declarations found")
@@ -195,10 +200,22 @@ def parse_spectral(data) -> SpectralUnitary:
 
 def _read_fraction(value):
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DescriptionParseError(
+                f"cannot read a fraction from {value!r}") from None
     if isinstance(value, (int, float)):
         return value
     raise MalformedInputError(f"cannot read a fraction from {value!r}")
+
+
+def _squared_norm(coefficients) -> float:
+    """Sum of |c|^2, inf (rather than OverflowError) when it overflows:
+    hypot scales, and the product of two floats rounds to inf."""
+    norm = math.hypot(*(part for c in coefficients
+                        for part in (c.real, c.imag)))
+    return norm * norm
 
 
 def parse_vector_literal(text: str) -> HVector:
@@ -228,10 +245,7 @@ def parse_vector_literal(text: str) -> HVector:
     vector = HVector(entries)
     if vector.is_zero():
         raise MalformedInputError("the vector literal is (numerically) zero")
-    # overflow-safe: hypot scales, and the product is inf rather than raising
-    norm = math.hypot(*(part for _, c in vector.items()
-                        for part in (c.real, c.imag)))
-    if not math.isfinite(norm * norm):
+    if not math.isfinite(_squared_norm(c for _, c in vector.items())):
         raise MalformedInputError(
             "the vector literal is too large: its squared norm overflows"
         )

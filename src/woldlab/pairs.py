@@ -207,17 +207,16 @@ def _preimage_under(op: StructuredIsometry, basis) -> list[HVector]:
     if not basis:
         return []
     k = len(basis)
-    images = [op.apply(op.apply_adjoint(b)) for b in basis]
+    pulled = [op.apply_adjoint(b) for b in basis]
+    images = [op.apply(p) for p in pulled]
     m = np.zeros((k, k), dtype=complex)
     for j in range(k):
         for i in range(k):
             m[i, j] = images[j].inner(basis[i])
     _, s, vh = np.linalg.svd(m - np.eye(k))
     rank = int(np.sum(s > PREIMAGE_RANK_TOL))
-    return _linalg.mgs([
-        op.apply_adjoint(c)
-        for c in _linalg.combinations(vh[rank:].conj().T, basis)
-    ])
+    # op* is linear: pull the combinations back through op* of the basis
+    return _linalg.combination_basis(vh[rank:].conj().T, pulled)
 
 
 def _joint_shift_core(inner_op: StructuredIsometry,
@@ -305,11 +304,10 @@ class PairReport:
 
 def _shift_window_basis(op, wres, depth):
     """Basis of H_s ∩ window: window combinations fixed by the orbit-sum
-    projection onto the shift part."""
+    projection onto the shift part, that is, the intersection of the window
+    with the span of the (orthonormal) kernel orbit vectors."""
     window = [HVector([(idx, 1.0)]) for idx in op.window_indices(depth)]
-    residuals = _linalg.orthogonal_residual(window, wres.orbit_vectors)
-    coeffs = _linalg.nullspace_combinations(residuals)
-    return _linalg.mgs(_linalg.combinations(coeffs, window))
+    return _linalg.intersect_spans(window, wres.orbit_vectors)
 
 
 def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,

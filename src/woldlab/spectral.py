@@ -20,6 +20,14 @@ from .errors import MalformedInputError, PreconditionError
 _MAX_DENOM = 10 ** 12
 
 
+def _fraction_text(value: str, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInputError(
+            f"cannot read {what} from {value!r}") from None
+
+
 def as_angle(value) -> Fraction:
     """Normalize an angle (in turns) to an exact fraction in [0, 1)."""
     if isinstance(value, Fraction):
@@ -27,7 +35,7 @@ def as_angle(value) -> Fraction:
     elif isinstance(value, int):
         f = Fraction(value)
     elif isinstance(value, str):
-        f = Fraction(value)
+        f = _fraction_text(value, "an angle")
     elif isinstance(value, float):
         f = Fraction(value).limit_denominator(_MAX_DENOM)
     else:
@@ -38,8 +46,10 @@ def as_angle(value) -> Fraction:
 def as_length(value) -> Fraction:
     if isinstance(value, Fraction):
         f = value
-    elif isinstance(value, (int, str)):
+    elif isinstance(value, int):
         f = Fraction(value)
+    elif isinstance(value, str):
+        f = _fraction_text(value, "a length")
     elif isinstance(value, float):
         f = Fraction(value).limit_denominator(_MAX_DENOM)
     else:

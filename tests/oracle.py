@@ -163,6 +163,11 @@ def sparse_intersection(basis_a, basis_b, drop_tol: float = ORTHO_DROP_TOL):
     return sparse_sweep(combos, drop_tol=drop_tol)
 
 
+def span_residual_norm(x: HVector, basis) -> float:
+    """Distance from x to the span of an orthonormal family."""
+    return sparse_residual(x, basis).norm()
+
+
 # -- reference orbits and wandering scans -----------------------------------------
 #
 # The eager orbit routine that resumable ``OrbitRecord``s replaced: the whole

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import DenseWindow
+from oracle import DenseWindow, span_residual_norm
 from samples import random_hvector, random_structured_isometry
 from woldlab import catalog, cli
 from woldlab.core import HVector, commutes, doubly_commutes, inner
@@ -195,7 +195,7 @@ def test_criterion_05_strongly_wandering_splitting():
         combined = _linalg.mgs(shift_window + wu_basis)
         assert span.dim == len(combined), name
         for g in span.generators:
-            assert _linalg.span_residual_norm(g, combined) <= 1e-7, name
+            assert span_residual_norm(g, combined) <= 1e-7, name
     _passline(5, "strong wandering splits along the Wold decomposition")
 
 

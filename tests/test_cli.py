@@ -380,3 +380,24 @@ def test_parser_is_built_once(capsys, monkeypatch, tmp_path):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 1, 0, 0, 1, 0, 0, 0, 0]
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("command, name, text", [
+    # a zero-denominator phase in an operator file
+    ("wold", "phase.op",
+     "lane 0 naturals\ntail 0 0 -> 0 offset 1 phase 1/0\n"),
+    # a zero-denominator arc start in a spectral file
+    ("spectral", "arc.json", '{"arcs": [{"start": "1/0", "length": "1/2"}]}'),
+    # a column whose squared norm overflows
+    ("wold", "column.op",
+     "lane 0 naturals\nlane 1 finite 1\ncolumn 1:0 = 1:0 1e308 0\n"
+     "tail 0 0 -> 0 offset 1 phase 0\n"),
+], ids=["phase_1/0", "arc_start_1/0", "column_1e308"])
+def test_malformed_description_fails_in_one_line(tmp_path, capsys, command,
+                                                 name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == cli.INVALID
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

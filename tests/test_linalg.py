@@ -12,9 +12,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracle import sparse_intersection, sparse_residual, sparse_sweep
+from oracle import (
+    sparse_intersection,
+    sparse_residual,
+    sparse_sweep,
+    span_residual_norm,
+)
 from woldlab import _linalg, catalog, wold
-from woldlab.config import ORTHO_DROP_TOL
+from woldlab.config import NULLSPACE_ATOL, NULLSPACE_RTOL, ORTHO_DROP_TOL
 from woldlab.core import BasisIndex, HVector
 
 PROJECTOR_TOL = 1e-9
@@ -158,7 +163,7 @@ def test_residual_and_projection_match_reference(seed):
     for v, r, p in zip(vectors, residuals, projections):
         assert (r - sparse_residual(v, basis)).norm() <= 1e-12
         assert (p + r - v).norm() <= 1e-12
-    assert _linalg.span_residual_norm(vectors[0], basis) == \
+    assert span_residual_norm(vectors[0], basis) == \
         pytest.approx(residuals[0].norm(), abs=1e-15)
 
 
@@ -242,3 +247,135 @@ def test_gram_suspects_match_the_pair_loop(columns, start):
             if abs(np.vdot(a[:, j], a[:, i])) > cutoff]
     rows, cols = _linalg.gram_suspects(a, start, cutoff)
     assert list(zip(rows.tolist(), cols.tolist())) == want
+
+
+# -- the component split ---------------------------------------------------------
+
+
+def _block_family(seed):
+    """Vectors whose joint support falls apart into components of every
+    kind the split handles, interleaved in a seeded order: singletons,
+    two-row blocks, a dense block, a block with more columns than rows, a
+    near-dependent block next to the clean ones, and zero vectors."""
+    rng = np.random.default_rng(seed)
+
+    def on(lane, width, count, terms):
+        pool = [BasisIndex(lane, p) for p in range(width)]
+        return [_random_vector(rng, pool, terms) for _ in range(count)]
+
+    vectors = []
+    for lane in range(10, 16):                       # singletons
+        vectors += [HVector([(BasisIndex(lane, 0), complex(*rng.normal(size=2)))])
+                    for _ in range(int(rng.integers(1, 3)))]
+    for lane in range(20, 24):                       # two-row blocks
+        vectors += on(lane, 2, int(rng.integers(1, 4)), 2)
+    vectors += on(30, 8, 5, 4)                       # dense
+    vectors += on(31, 3, 6, 2)                       # more columns than rows
+    near = _near_dependent(rng, 10.0)                # near-dependent
+    vectors += [HVector([(BasisIndex(32, idx.lane * 12 + idx.position), c)
+                         for idx, c in v.items()]) for v in near]
+    vectors += [HVector.zero(), HVector.zero()]      # empty columns
+    return [vectors[i] for i in rng.permutation(len(vectors))]
+
+
+def _block_wall(seed):
+    """Constraints for ``_block_family``: two independent vectors filling
+    the two-row block on lane 20 exactly, plus vectors touching some
+    singletons, the dense block and the near-dependent one."""
+    rng = np.random.default_rng(seed + 500)
+    fill = [_random_vector(rng, [BasisIndex(20, 0), BasisIndex(20, 1)], 2)
+            for _ in range(2)]
+    partial = [HVector([(BasisIndex(11, 0), 1.0)]),
+               _random_vector(rng, [BasisIndex(30, p) for p in range(8)], 3),
+               _random_vector(rng, [BasisIndex(32, p) for p in range(12)], 4)]
+    return fill + partial
+
+
+BLOCK_SEEDS = range(6)
+
+
+def test_window_labels_components_of_all_families():
+    e = [HVector([(BasisIndex(0, p), 1.0)]) for p in range(5)]
+    win = _linalg.Window([e[0] + e[1], e[2]], [e[1] + e[3], e[4]])
+    assert win.count == 3
+    assert win.label.tolist() == [0, 0, 1, 0, 2]
+    # the zero vector has no component
+    assert win.columns([e[3], HVector.zero(), e[2]])[1].tolist() == [0, -1, 1]
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_component_sweep_matches_reference_vector_by_vector(seed):
+    """Kept columns come back in global input order: each basis vector is
+    the reference's, not just the span."""
+    vectors = _block_family(seed)
+    got, want = _linalg.mgs(vectors), sparse_sweep(vectors)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g - w).norm() <= PROJECTOR_TOL
+    _assert_orthonormal(got)
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_component_complement_matches_reference(seed):
+    candidates, constraints = _block_family(seed), _block_wall(seed)
+    got = _linalg.complement_basis(candidates, constraints)
+    want = sparse_sweep(candidates, sparse_sweep(constraints))
+    _assert_same_basis(got, want)
+    # the filled block offers nothing
+    assert not any(idx.lane == 20 for g in got for idx in g.support())
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_component_intersection_matches_reference(seed):
+    basis_a = sparse_sweep(_block_family(seed))
+    basis_b = sparse_sweep(_block_wall(seed) + _block_family(seed + 50)[:12])
+    got = _linalg.intersect_spans(basis_a, basis_b)
+    _assert_same_basis(got, sparse_intersection(basis_a, basis_b))
+    # each block of the intersection is the block of basis_a when basis_b
+    # fills it, as on lane 20
+    assert any(idx.lane == 20 for g in got for idx in g.support())
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_component_residual_and_projection_match_reference(seed):
+    vectors = _block_family(seed)
+    basis = sparse_sweep(_block_wall(seed))
+    residuals = _linalg.orthogonal_residual(vectors, basis)
+    projections = _linalg.project(vectors, basis)
+    for v, r, p in zip(vectors, residuals, projections):
+        assert (r - sparse_residual(v, basis)).norm() <= 1e-12
+        assert (p + r - v).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_component_nullspace_matches_dense_svd(seed):
+    vectors = _block_family(seed)
+    coeffs = _linalg.nullspace_combinations(vectors)
+    # the dense SVD of the whole matrix, with the same cutoffs
+    win = _linalg.Window(vectors)
+    s = np.linalg.svd(win.matrix(vectors), compute_uv=False)
+    cutoff = max(NULLSPACE_ATOL, float(s[0]) * NULLSPACE_RTOL)
+    assert coeffs.shape == (len(vectors), len(vectors) - int(np.sum(s > cutoff)))
+    assert np.allclose(coeffs.conj().T @ coeffs, np.eye(coeffs.shape[1]),
+                       rtol=0, atol=1e-12)
+    for combo in _linalg.combinations(coeffs, vectors):
+        assert combo.norm() <= 1e-12
+
+
+def test_rank_cutoffs_use_the_largest_singular_value_overall():
+    """A block whose singular value sits below the relative cutoff of
+    another block's is rank deficient, as in the dense SVD, although it
+    clears every cutoff relative to itself."""
+    large = HVector([(BasisIndex(0, 0), 1e6)])
+    # wall: 1e-7 < SPAN_RANK_TOL * 1e6, but far above SPAN_RANK_TOL
+    assert len(_linalg.orthonormal_span(
+        [large, HVector([(BasisIndex(1, 0), 1e-7)])])) == 1
+    assert len(_linalg.orthonormal_span(
+        [large, HVector([(BasisIndex(1, 0), 1e-5)])])) == 2
+    # nullspace: 1e-5 < NULLSPACE_RTOL * 1e6, but far above NULLSPACE_ATOL
+    small = HVector([(BasisIndex(1, 0), 1e-5), (BasisIndex(1, 1), 1e-5)])
+    coeffs = _linalg.nullspace_combinations([large, small])
+    assert coeffs.shape == (2, 1)
+    assert abs(coeffs[1, 0]) == pytest.approx(1.0)
+    assert _linalg.nullspace_combinations(
+        [large.scaled(1e-2), small]).shape == (2, 0)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracle import span_residual_norm
 from samples import catalog_pairs
 from woldlab import catalog, pairs, wold
 from woldlab.certificates import false_certificate, true_certificate
@@ -125,8 +126,6 @@ def test_exhaust_cycle_plus_shift():
 def test_exhaust_residual_spanned_by_wandering_vectors(fixed_plus_shift):
     """On the residual, the wandering span covers everything: each window
     basis vector of H1 lies in the certified wandering span."""
-    from woldlab import _linalg
-
     res = exhaust_h0(fixed_plus_shift, fixed_plus_shift, depth=24)
     rest = fixed_plus_shift.restricted_to_lanes(
         [l.lane_id for l in fixed_plus_shift.lanes
@@ -136,7 +135,7 @@ def test_exhaust_residual_spanned_by_wandering_vectors(fixed_plus_shift):
     assert wsd.h0.dim == 0 and wsd.exact
     hw = list(wsd.hw.generators)
     for g in res.h1.generators:
-        assert _linalg.span_residual_norm(g, hw) <= 1e-7
+        assert span_residual_norm(g, hw) <= 1e-7
 
 
 def test_exhaust_undecided_on_lingering_core():

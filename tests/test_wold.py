@@ -10,6 +10,7 @@ from oracle import (
     loop_strongly_wandering,
     loop_wandering,
     scan_pairs,
+    span_residual_norm,
 )
 from samples import (
     random_hvector,
@@ -458,7 +459,6 @@ def test_wandering_span_invariant_under_commuting_isometry():
     """Hw is invariant for every isometry commuting with V (checked on an
     inner window), and hence H0 for its adjoint."""
     from samples import catalog_pairs
-    from woldlab import _linalg
 
     depth = 16
     for name, (v1, v2) in catalog_pairs():
@@ -472,7 +472,7 @@ def test_wandering_span_invariant_under_commuting_isometry():
             image = v2.apply(g).restricted_to(inner_window)
             if image.is_zero():
                 continue
-            assert _linalg.span_residual_norm(image, hw) <= 1e-7, name
+            assert span_residual_norm(image, hw) <= 1e-7, name
 
 
 # -- strongly wandering span and the splitting lemma -----------------------------------
@@ -514,9 +514,9 @@ def test_strong_span_splits_along_wold():
         combined = _linalg.mgs(shift_window + wu_basis)
         assert span.dim == len(combined), name
         for g in span.generators:
-            assert _linalg.span_residual_norm(g, combined) <= 1e-7, name
+            assert span_residual_norm(g, combined) <= 1e-7, name
         for g in combined:
-            assert _linalg.span_residual_norm(g, list(span.generators)) <= 1e-7, name
+            assert span_residual_norm(g, list(span.generators)) <= 1e-7, name
 
 
 def test_strong_splitting_componentwise():
@@ -692,7 +692,7 @@ def test_extension_is_span_of_bilateral_shifts():
         cover = _linalg.mgs(orbit_bases)
         for idx in ext.window_indices(horizon):
             e = HVector([(idx, 1.0)])
-            assert _linalg.span_residual_norm(e, cover) <= 1e-7, (op.name, idx)
+            assert span_residual_norm(e, cover) <= 1e-7, (op.name, idx)
 
 
 # -- orbit certificates -------------------------------------------------------------
