@@ -137,11 +137,15 @@ class Window:
     def vectors(self, a: np.ndarray, prune: float = PRUNE_TOL) -> list[HVector]:
         """The columns of a dense matrix as vectors, entries at or below
         ``prune`` in modulus dropped."""
-        # one scan of the whole matrix, column by column
-        cols, rows = np.nonzero(np.abs(a.T) > prune)
+        # one scan of the whole matrix, column by column; only the nonzero
+        # entries are measured against ``prune``
+        cols, rows = np.nonzero(a.T)
+        vals = a[rows, cols]
+        keep = np.abs(vals) > prune
+        cols, rows = cols[keep], rows[keep]
         indices = self.indices
         keys = [indices[i] for i in rows.tolist()]
-        vals = a[rows, cols].tolist()
+        vals = vals[keep].tolist()
         out = []
         start = 0
         for n in np.bincount(cols, minlength=a.shape[1]).tolist():
@@ -227,7 +231,7 @@ def _project(win: Window, a: np.ndarray, alab: np.ndarray,
              q: np.ndarray, qlab: np.ndarray) -> np.ndarray:
     """Orthogonal projection of each column of ``a`` onto the orthonormal
     columns of ``q``."""
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, dtype=complex)
     for rows, acols, qcols in _split(win, alab, qlab):
         if acols.shape[1] and qcols.shape[1]:
             b = _gather(q, rows, qcols)

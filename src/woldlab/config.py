@@ -25,14 +25,16 @@ ORTHO_DROP_TOL = 1e-7
 PRUNE_TOL = 1e-14
 
 # Rank cutoff of the SVD behind constraint walls (``orthonormal_span``),
-# used both absolutely and relative to the largest singular value: a wall
-# keeps every direction down to the numerical rank, so that near-dependent
-# constraints are still fully projected out.
+# used both absolutely and relative to the largest singular value of the
+# whole matrix (not of one support component): a wall keeps every direction
+# down to the numerical rank, so that near-dependent constraints are still
+# fully projected out.
 SPAN_RANK_TOL = 1e-12
 
 # Rank cutoffs of the SVD behind nullspaces (``nullspace_combinations`` and
 # ``intersect_spans``): a singular value counts as zero below the absolute
-# cutoff or below the relative one times the largest singular value.  Much
+# cutoff or below the relative one times the largest singular value of the
+# whole matrix (not of one support component).  Much
 # looser than the wall cutoff, because a combination counts as vanishing
 # once it is lost in the noise of the Gram-Schmidt residuals.
 NULLSPACE_ATOL = 1e-8
