@@ -38,6 +38,8 @@ coefficients can depend on the BLAS build, its thread count and the split.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import (
@@ -54,67 +56,133 @@ from .core import HVector
 _BLOCK = 64
 
 
-def _components(n: int, groups) -> np.ndarray:
-    """Labels of the connected components of 0..n-1, where each group of
-    members is joined, numbered in order of their least member."""
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Labels of the connected components of the graph on 0..n-1 with edges
+    (u[e], v[e]), numbered in order of their least member."""
     parent = list(range(n))
-    joined = False
-    for group in groups:
-        roots = set()
-        for i in group:
-            while parent[i] != i:
-                i = parent[i]
-            roots.add(i)
-        if len(roots) > 1:
-            joined = True
-            low = min(roots)
-            for r in roots:
-                parent[r] = low
-    if not joined:
-        return np.arange(n)
-    ids: dict[int, int] = {}
-    label = []
+    for a, b in zip(u.tolist(), v.tolist()):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
     for i in range(n):
-        # parents have smaller indices, so theirs are already final; a
-        # root is the least member, so ids come in order of least members
-        parent[i] = root = parent[parent[i]]
-        label.append(ids.setdefault(root, len(ids)))
-    return np.array(label)
+        # every root is the least member of its tree, so a parent has a
+        # smaller index than its child and is already resolved
+        parent[i] = parent[parent[i]]
+    root = np.array(parent, dtype=np.intp)
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
+
+
+def _layout(lab: np.ndarray, count: int):
+    """Indices sorted by label (-1 first, stable), where each label's run
+    starts in that order, and its length."""
+    size = np.bincount(lab[lab >= 0], minlength=count)
+    start = np.cumsum(size) - size + (lab.size - int(size.sum()))
+    return np.argsort(lab, kind="stable"), start, size
+
+
+class _Family(NamedTuple):
+    """Columns over a window held as their nonzero entries (row, column,
+    value; in no particular order), with the component of each column
+    (-1 for none)."""
+
+    label: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+
+def _family(label: np.ndarray, chunks, row=None, col=None,
+            val=None) -> _Family:
+    """A family from blocks: a chunk (cols (g, c), rows (g, r), x (g, r, c))
+    gives column cols[k, j] the values x[k, :, j] at rows rows[k].  Entries
+    (row, col, val) are added as they are; exact zeros are dropped."""
+    rows = [np.empty(0, dtype=np.intp) if row is None else row]
+    cols = [np.empty(0, dtype=np.intp) if col is None else col]
+    vals = [np.empty(0, dtype=complex) if val is None else val]
+    for c, r, x in chunks:
+        rows.append(r.repeat(x.shape[2]))
+        cols.append(c.repeat(x.shape[1], axis=0).ravel())
+        vals.append(x.ravel())
+    row, col, val = (np.concatenate(p) for p in (rows, cols, vals))
+    nonzero = val != 0
+    return _Family(label, row[nonzero], col[nonzero], val[nonzero])
+
+
+def _no_columns() -> _Family:
+    return _family(np.empty(0, dtype=np.intp), [])
 
 
 class Window:
     """Sorted joint support of some vector families, one row per index,
-    with each row labelled by its component of the families' supports."""
+    with each row labelled by its component of the families' supports.
+    ``families`` holds each input family over the window."""
 
-    __slots__ = ("indices", "row", "label", "count")
+    __slots__ = ("indices", "row", "families", "label", "count", "layout",
+                 "rank")
 
     def __init__(self, *families):
-        self.indices = sorted({idx for family in families for v in family
-                               for idx in v._entries})
+        keys, vals, cols, ends = [], [], [], []
+        linked = False  # some vector has two or more entries
+        for family in families:
+            width = 0
+            for j, v in enumerate(family):
+                entries = v._entries
+                keys += entries
+                vals += entries.values()
+                cols += [j] * len(entries)
+                linked = linked or len(entries) > 1
+                width = j + 1
+            ends.append((width, len(keys)))
+        self.indices = sorted(set(keys))
         self.row = row = {idx: i for i, idx in enumerate(self.indices)}
-        self.label = _components(len(self.indices), (
-            [row[idx] for idx in v._entries]
-            for family in families for v in family if len(v._entries) > 1))
-        self.count = int(self.label.max()) + 1 if self.indices else 0
+        rows = np.array([row[idx] for idx in keys], dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        vals = np.array(vals, dtype=complex)
+        parts, heads = [], []
+        begin = 0
+        for width, end in ends:
+            r, c = rows[begin:end], cols[begin:end]
+            head = np.full(width, -1)
+            head[c] = r  # some row of each vector, -1 for the zero vector
+            parts.append((head, r, c, vals[begin:end]))
+            heads.append(head[c])
+            begin = end
+        n = len(self.indices)
+        # every entry is joined to the head row of its vector
+        self._relabel(_components(n, np.concatenate(heads), rows) if linked
+                      else np.arange(n))
+        outside = np.append(self.label, -1)  # index -1 picks the -1
+        self.families = [_Family(outside[head], r, c, x)
+                         for head, r, c, x in parts]
+
+    def _relabel(self, label: np.ndarray) -> None:
+        """Set the row labels, the layout of the rows by component and the
+        position of each row inside its component."""
+        n = label.size
+        self.label = label
+        self.count = int(label.max()) + 1 if n else 0
+        if self.count == n:  # every row is a component of its own
+            self.layout = (label, label, np.ones(n, dtype=np.intp))
+            self.rank = np.zeros(n, dtype=np.intp)
+            return
+        order, start, size = self.layout = _layout(label, self.count)
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[order] = np.arange(n) - np.repeat(start, size)
 
     def matrix(self, vectors) -> np.ndarray:
         """The vectors as the columns of a dense matrix over the window."""
-        return self.columns(vectors)[0]
-
-    def columns(self, vectors) -> tuple[np.ndarray, np.ndarray]:
-        """The vectors as the columns of a dense matrix over the window,
-        and the component of each (-1 for the zero vector)."""
         a = np.zeros((len(self.indices), len(vectors)), dtype=complex)
-        row = self.row
-        last = []
         for j, v in enumerate(vectors):
-            i = -1
             for idx, c in v._entries.items():
-                i = row[idx]
-                a[i, j] = c
-            last.append(i)
-        # any row of a vector gives its component; -1 picks the appended -1
-        return a, np.append(self.label, -1)[last]
+                a[self.row[idx], j] = c
+        return a
 
     def join(self, labels: np.ndarray, coeffs: np.ndarray):
         """Merge the components that one combination ``coeffs[:, k]`` of
@@ -126,29 +194,24 @@ class Window:
         k, lab = k[lab >= 0], lab[lab >= 0]
         # pair every vector of a combination with the combination's first
         head = lab[np.searchsorted(k, k)]
-        merged = _components(self.count,
-                             np.stack([head, lab], axis=1)[head != lab])
-        self.label = merged[self.label]
-        self.count = int(merged.max()) + 1 if self.count else 0
+        merged = _components(self.count, head, lab)
+        self._relabel(merged[self.label])
         combined = np.full(coeffs.shape[1], -1, dtype=np.intp)
         combined[k] = merged[head]
         return np.append(merged, -1)[labels], combined
 
-    def vectors(self, a: np.ndarray, prune: float = PRUNE_TOL) -> list[HVector]:
-        """The columns of a dense matrix as vectors, entries at or below
+    def vectors(self, fam: _Family, prune: float = PRUNE_TOL) -> list[HVector]:
+        """The columns of a family as vectors, entries at or below
         ``prune`` in modulus dropped."""
-        # one scan of the whole matrix, column by column; only the nonzero
-        # entries are measured against ``prune``
-        cols, rows = np.nonzero(a.T)
-        vals = a[rows, cols]
-        keep = np.abs(vals) > prune
-        cols, rows = cols[keep], rows[keep]
+        keep = np.abs(fam.val) > prune
+        col, row = fam.col[keep], fam.row[keep]
+        order = np.lexsort((row, col))
         indices = self.indices
-        keys = [indices[i] for i in rows.tolist()]
-        vals = vals[keep].tolist()
+        keys = [indices[i] for i in row[order].tolist()]
+        vals = fam.val[keep][order].tolist()
         out = []
         start = 0
-        for n in np.bincount(cols, minlength=a.shape[1]).tolist():
+        for n in np.bincount(col, minlength=fam.label.size).tolist():
             v = object.__new__(HVector)
             v._entries = dict(zip(keys[start:start + n], vals[start:start + n]))
             out.append(v)
@@ -159,10 +222,10 @@ class Window:
 def _split(win: Window, *labels: np.ndarray):
     """The window's components grouped by shape.
 
-    ``labels`` are the column labels of some matrices over the window.  For
-    each distinct shape (rows, then columns of each matrix) one tuple of
+    ``labels`` are the column labels of some families over the window.  For
+    each distinct shape (rows, then columns of each family) one tuple of
     index arrays is yielded: the rows of its g components as a (g, r) array,
-    then the columns of each matrix as a (g, c) array.  Components come in
+    then the columns of each family as a (g, c) array.  Components come in
     label order, indices ascending within each, so columns keep their input
     order.  Columns labelled -1 belong to no component.
     """
@@ -173,7 +236,7 @@ def _split(win: Window, *labels: np.ndarray):
         return
     if not count:
         return
-    layouts = [_layout(lab, count) for lab in (win.label,) + labels]
+    layouts = [win.layout] + [_layout(lab, count) for lab in labels]
     base = max(int(size.max()) for _, _, size in layouts) + 1
     key = layouts[0][2]
     for _, _, size in layouts[1:]:
@@ -185,28 +248,26 @@ def _split(win: Window, *labels: np.ndarray):
                     for order, start, size in layouts)
 
 
-def _layout(lab: np.ndarray, count: int):
-    """Indices sorted by label (-1 first, stable), where each label's run
-    starts in that order, and its length."""
-    size = np.bincount(lab[lab >= 0], minlength=count)
-    start = np.cumsum(size) - size + (lab.size - int(size.sum()))
-    return np.argsort(lab, kind="stable"), start, size
-
-
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (g, r, c) stack of the blocks a[rows[i]][:, cols[i]]."""
-    return a[rows[:, :, None], cols[:, None, :]]
-
-
-def _scatter(out: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             stack: np.ndarray) -> None:
-    out[rows[:, :, None], cols[:, None, :]] = stack
+def _gather(win: Window, fam: _Family, rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    """The (g, r, c) stack of the blocks of ``fam`` on the components with
+    these rows (g, r) and columns (g, c)."""
+    g, c = cols.shape
+    slot = np.full(fam.label.size, -1)
+    slot[cols] = np.arange(g)[:, None]
+    pos = np.empty(fam.label.size, dtype=np.intp)
+    pos[cols] = np.arange(c)
+    at = slot[fam.col]
+    mine = at >= 0
+    x = np.zeros((g, rows.shape[1], c), dtype=complex)
+    x[at[mine], win.rank[fam.row[mine]], pos[fam.col[mine]]] = fam.val[mine]
+    return x
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the (g, r, 1) stack of columns, as (g, 1, 1)."""
-    return np.sqrt(np.add.reduce(x.real ** 2 + x.imag ** 2, axis=1,
-                                 keepdims=True))
+    """Euclidean norms of the (g, r, 1) stack of columns, as (g,)."""
+    parts = x.view(float)  # (g, r, 2): real and imaginary parts
+    return np.sqrt(np.add.reduce(np.add.reduce(parts * parts, axis=2), axis=1))
 
 
 def _hdot(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -214,102 +275,121 @@ def _hdot(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.conj().swapaxes(1, 2) @ b).conj().swapaxes(1, 2)
 
 
-def _project_out(win: Window, a: np.ndarray, alab: np.ndarray,
-                 q: np.ndarray, qlab: np.ndarray, passes: int = 2) -> None:
-    """Subtract from each column of ``a``, in place, its projection onto the
-    orthonormal columns of ``q``, ``passes`` times, component by
-    component."""
-    for rows, acols, qcols in _split(win, alab, qlab):
+def _project_out(win: Window, a: _Family, q: _Family) -> _Family:
+    """Each column of ``a`` minus its projection onto the orthonormal
+    columns of ``q``, two classical Gram-Schmidt passes per component."""
+    chunks = []
+    done = np.zeros(a.label.size, dtype=bool)
+    for rows, acols, qcols in _split(win, a.label, q.label):
         if acols.shape[1] and qcols.shape[1]:
-            x, b = _gather(a, rows, acols), _gather(q, rows, qcols)
-            for _ in range(passes):
+            x, b = _gather(win, a, rows, acols), _gather(win, q, rows, qcols)
+            for _ in range(2):
                 x -= b @ _hdot(b, x)
-            _scatter(a, rows, acols, x)
+            chunks.append((acols, rows, x))
+            done[acols] = True
+    rest = ~done[a.col]
+    return _family(a.label, chunks, a.row[rest], a.col[rest], a.val[rest])
 
 
-def _project(win: Window, a: np.ndarray, alab: np.ndarray,
-             q: np.ndarray, qlab: np.ndarray) -> np.ndarray:
+def _project(win: Window, a: _Family, q: _Family) -> _Family:
     """Orthogonal projection of each column of ``a`` onto the orthonormal
     columns of ``q``."""
-    out = np.zeros(a.shape, dtype=complex)
-    for rows, acols, qcols in _split(win, alab, qlab):
+    chunks = []
+    for rows, acols, qcols in _split(win, a.label, q.label):
         if acols.shape[1] and qcols.shape[1]:
-            b = _gather(q, rows, qcols)
-            _scatter(out, rows, acols, b @ _hdot(b, _gather(a, rows, acols)))
-    return out
+            b = _gather(win, q, rows, qcols)
+            chunks.append((acols, rows,
+                           b @ _hdot(b, _gather(win, a, rows, acols))))
+    return _family(a.label, chunks)
 
 
-def _merge(height: int, found) -> np.ndarray:
-    """Columns found per component as one matrix of the given height,
-    ordered by their keys; ``found`` holds (keys (m,), rows (m, r),
-    values (m, r)) chunks."""
-    keys = np.concatenate([f[0] for f in found] or [np.empty(0, np.intp)])
+def _ranks(keys: list[np.ndarray]) -> np.ndarray:
+    """Position of every key, chunks concatenated, in sorted order."""
+    keys = np.concatenate(keys + [np.empty(0, dtype=np.intp)])
     pos = np.empty(keys.size, dtype=np.intp)
     pos[np.argsort(keys, kind="stable")] = np.arange(keys.size)
-    out = np.zeros((height, keys.size), dtype=complex)
+    return pos
+
+
+def _merge(win: Window, found) -> _Family:
+    """Columns found per component, as (keys (m,), rows (m, r),
+    values (m, r)) chunks, as one family ordered by key."""
+    pos = _ranks([keys for keys, _, _ in found])
+    label = np.empty(pos.size, dtype=np.intp)
+    chunks = []
     first = 0
-    for chunk, rows, vals in found:
-        out[rows, pos[first:first + chunk.size, None]] = vals
-        first += chunk.size
-    return out
+    for keys, rows, vals in found:
+        at = pos[first:first + keys.size]
+        label[at] = win.label[rows[:, 0]]
+        chunks.append((at[:, None], rows, vals[:, :, None]))
+        first += keys.size
+    return _family(label, chunks)
 
 
-def _sweep(win: Window, q: np.ndarray, qlab: np.ndarray, a: np.ndarray,
-           alab: np.ndarray, drop_tol: float) -> np.ndarray:
+def _sweep(win: Window, q: _Family, a: _Family, drop_tol: float) -> _Family:
     """Orthonormal columns extending the orthonormal ``q`` to span the
     columns of ``a`` as well, swept in input order within each component;
     only the new columns are returned, in input order."""
     found = []
-    for rows, qcols, acols in _split(win, qlab, alab):
+    for rows, qcols, acols in _split(win, q.label, a.label):
         g, r = rows.shape
         start, width = qcols.shape[1], acols.shape[1]
         if not width or start >= r:
             continue  # nothing offered, or the wall fills the component
+        # the basis, and its conjugate transpose for the coefficients
         buf = np.zeros((g, r, min(r, start + width)), dtype=complex)
-        buf[:, :, :start] = _gather(q, rows, qcols)
-        cand = _gather(a, rows, acols)
+        buf[:, :, :start] = _gather(win, q, rows, qcols)
+        bufh = buf.conj().swapaxes(1, 2).copy()
+        cand = _gather(win, a, rows, acols)
+        taken = np.zeros((g, buf.shape[2]), dtype=np.intp)  # input column
         k = np.full(g, start)
         every = np.arange(g)
         top, full = start, 0  # widest basis, components filled
         for j in range(width):
-            b = buf[:, :, :top]
+            b, bh = buf[:, :, :top], bufh[:, :top]
             x = cand[:, :, j:j + 1]
             for _ in range(2):
-                x -= b @ _hdot(b, x)
+                x -= b @ (bh @ x)
             norm = _norm(x)
-            keep = norm[:, 0, 0] >= drop_tol
+            keep = norm >= drop_tol
             if full:
                 keep &= k < r
             sel = every[keep]
             if not sel.size:
                 continue
             if sel.size < g:
-                x, b, norm = x[sel], b[sel], norm[sel]
+                x, b, bh, norm = x[sel], b[sel], bh[sel], norm[sel]
             # normalizing a barely-surviving residual amplifies rounding
             # noise, so orthogonalize once more after scaling
-            x = x / norm
-            x -= b @ _hdot(b, x)
-            x /= _norm(x)
-            buf[sel, :, k[sel]] = x[:, :, 0]
-            k[sel] += 1
-            top = max(top, int(k[sel].max()))
-            found.append((acols[sel, j], rows[sel], x[:, :, 0]))
-            full = int(np.count_nonzero(k == r))
+            x = x / norm[:, None, None]
+            x -= b @ (bh @ x)
+            x /= _norm(x)[:, None, None]
+            at = k[sel]
+            buf[sel, :, at] = x[:, :, 0]
+            bufh[sel, at, :] = x[:, :, 0].conj()
+            taken[sel, at] = j
+            k[sel] = at = at + 1
+            top = max(top, int(at.max()))
+            full += int(np.count_nonzero(at == r))
             if full == g:
                 break  # every basis fills its component
-    return _merge(len(win.indices), found)
+        slots = np.arange(buf.shape[2])
+        comp, slot = np.nonzero((slots >= start) & (slots < k[:, None]))
+        found.append((acols[comp, taken[comp, slot]], rows[comp],
+                      buf[comp, :, slot]))
+    return _merge(win, found)
 
 
-def _span(win: Window, a: np.ndarray, alab: np.ndarray) -> np.ndarray:
+def _span(win: Window, a: _Family) -> _Family:
     """Orthonormal columns spanning the columns of ``a`` down to the
     numerical rank (SVD per component, cutoff against the largest singular
     value overall), ordered by component, then by singular value."""
     parts = []
     top = 0.0
-    for rows, acols in _split(win, alab):
+    for rows, acols in _split(win, a.label):
         if not acols.shape[1]:
             continue
-        x = _gather(a, rows, acols)
+        x = _gather(win, a, rows, acols)
         if rows.shape[1] == 1:
             # a one-row block spans its row, or nothing
             u = np.ones((rows.shape[0], 1, 1), dtype=complex)
@@ -324,10 +404,10 @@ def _span(win: Window, a: np.ndarray, alab: np.ndarray) -> np.ndarray:
     for rows, u, s in parts:
         comp, p = np.nonzero(s > cutoff)
         found.append((rows[comp, 0] * height + p, rows[comp], u[comp, :, p]))
-    return _merge(height, found)
+    return _merge(win, found)
 
 
-def _nullspace(win: Window, a: np.ndarray, alab: np.ndarray,
+def _nullspace(win: Window, a: _Family,
                atol: float = NULLSPACE_ATOL) -> np.ndarray:
     """Orthonormal coefficient columns c with a @ c = 0, up to the numerical
     rank.  A column of ``a`` with empty support is a free direction of its
@@ -337,14 +417,14 @@ def _nullspace(win: Window, a: np.ndarray, alab: np.ndarray,
     max(atol, NULLSPACE_RTOL * largest singular value overall).  Columns
     come ordered by the first input column they combine.
     """
-    n = a.shape[1]
+    n = a.label.size
     parts = []
     top = 0.0
-    for rows, acols in _split(win, alab):
+    for rows, acols in _split(win, a.label):
         width = acols.shape[1]
         if not width:
             continue
-        x = _gather(a, rows, acols)
+        x = _gather(win, a, rows, acols)
         if x.shape[1:] == (1, 1):
             s = np.abs(x[:, 0, :])
             vh = np.ones_like(x)
@@ -353,39 +433,40 @@ def _nullspace(win: Window, a: np.ndarray, alab: np.ndarray,
         parts.append((acols, s, vh))
         top = max(top, float(s[:, 0].max()))
     cutoff = max(atol, top * NULLSPACE_RTOL)
-    free = np.flatnonzero(alab < 0)
+    free = np.flatnonzero(a.label < 0)
     found = [(free * n, free[:, None], np.ones((free.size, 1), dtype=complex))]
     for acols, s, vh in parts:
         rank = np.sum(s > cutoff, axis=1)
         comp, p = np.nonzero(np.arange(vh.shape[1]) >= rank[:, None])
-        found.append((acols[comp, 0] * n + p, acols[comp], vh[comp, p, :].conj()))
-    return _merge(n, found)
-
-
-def _combine(win: Window, a: np.ndarray, alab: np.ndarray,
-             coeffs: np.ndarray, clab: np.ndarray) -> np.ndarray:
-    """a @ coeffs, where each coefficient column labelled c combines only
-    columns of ``a`` in component c (and -1 gives a zero column)."""
-    out = np.zeros((a.shape[0], coeffs.shape[1]), dtype=complex)
-    for rows, acols, ccols in _split(win, alab, clab):
-        if acols.shape[1] and ccols.shape[1]:
-            _scatter(out, rows, ccols,
-                     _gather(a, rows, acols) @ _gather(coeffs, acols, ccols))
+        found.append((acols[comp, 0] * n + p, acols[comp],
+                      vh[comp, p, :].conj()))
+    pos = _ranks([keys for keys, _, _ in found])
+    out = np.zeros((n, pos.size), dtype=complex)
+    first = 0
+    for keys, cols, vals in found:
+        out[cols, pos[first:first + keys.size, None]] = vals
+        first += keys.size
     return out
 
 
-def _none(win: Window) -> tuple[np.ndarray, np.ndarray]:
-    """An empty wall over the window: no columns, no labels."""
-    return (np.zeros((len(win.indices), 0), dtype=complex),
-            np.empty(0, dtype=np.intp))
+def _combine(win: Window, a: _Family, coeffs: np.ndarray,
+             clab: np.ndarray) -> _Family:
+    """The combinations a @ coeffs, where each coefficient column labelled
+    c combines only columns of ``a`` in component c (-1: none)."""
+    chunks = []
+    for rows, acols, ccols in _split(win, a.label, clab):
+        if acols.shape[1] and ccols.shape[1]:
+            block = coeffs[acols[:, :, None], ccols[:, None, :]]
+            chunks.append((ccols, rows,
+                           _gather(win, a, rows, acols) @ block))
+    return _family(clab, chunks)
 
 
 def mgs(vectors, drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
     """Orthonormal basis of the span, in input order."""
     vectors = list(vectors)
     win = Window(vectors)
-    new = _sweep(win, *_none(win), *win.columns(vectors), drop_tol)
-    return win.vectors(new)
+    return win.vectors(_sweep(win, _no_columns(), *win.families, drop_tol))
 
 
 def orthonormal_span(vectors) -> list[HVector]:
@@ -398,8 +479,7 @@ def orthonormal_span(vectors) -> list[HVector]:
     """
     vectors = list(vectors)
     win = Window(vectors)
-    u = _span(win, *win.columns(vectors))
-    return win.vectors(u, prune=0.0)
+    return win.vectors(_span(win, *win.families), prune=0.0)
 
 
 def complement_basis(candidates, constraints,
@@ -412,8 +492,8 @@ def complement_basis(candidates, constraints,
     candidates = list(candidates)
     wall = orthonormal_span(constraints)
     win = Window(candidates, wall)
-    new = _sweep(win, *win.columns(wall), *win.columns(candidates), drop_tol)
-    return win.vectors(new)
+    a, q = win.families
+    return win.vectors(_sweep(win, q, a, drop_tol))
 
 
 def orthogonal_residual(vectors, basis) -> list[HVector]:
@@ -421,17 +501,14 @@ def orthogonal_residual(vectors, basis) -> list[HVector]:
     classical Gram-Schmidt passes."""
     vectors, basis = list(vectors), list(basis)
     win = Window(vectors, basis)
-    a, alab = win.columns(vectors)
-    _project_out(win, a, alab, *win.columns(basis))
-    return win.vectors(a)
+    return win.vectors(_project_out(win, *win.families))
 
 
 def project(vectors, basis) -> list[HVector]:
     """Orthogonal projection of each vector onto an orthonormal family."""
     vectors, basis = list(vectors), list(basis)
     win = Window(vectors, basis)
-    return win.vectors(_project(win, *win.columns(vectors),
-                                *win.columns(basis)))
+    return win.vectors(_project(win, *win.families))
 
 
 def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL,
@@ -443,31 +520,22 @@ def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL,
     support has its own SVD."""
     vectors, basis = list(vectors), list(basis)
     win = Window(vectors, basis)
-    a, alab = win.columns(vectors)
+    a, q = win.families
     if basis:
-        _project_out(win, a, alab, *win.columns(basis))
-    return _nullspace(win, a, alab, atol)
-
-
-def combinations(coeffs: np.ndarray, vectors) -> list[HVector]:
-    """sum_i coeffs[i, k] * vectors[i] for each column k of ``coeffs``."""
-    vectors = list(vectors)
-    win = Window(vectors)
-    return win.vectors(win.matrix(vectors) @ coeffs)
+        a = _project_out(win, a, q)
+    return _nullspace(win, a, atol)
 
 
 def combination_basis(coeffs: np.ndarray, vectors,
                       drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
     """Orthonormal basis, swept in order, of the combinations
-    sum_i coeffs[i, k] * vectors[i]: ``mgs(combinations(coeffs, vectors))``
-    without building the combinations as vectors."""
+    sum_i coeffs[i, k] * vectors[i], without building them as vectors."""
     vectors = list(vectors)
     win = Window(vectors)
-    a, labels = win.columns(vectors)
-    labels, clab = win.join(labels, coeffs)
-    mixed = _combine(win, a, labels, coeffs, clab)
-    new = _sweep(win, *_none(win), mixed, clab, drop_tol)
-    return win.vectors(new)
+    a, = win.families
+    labels, clab = win.join(a.label, coeffs)
+    mixed = _combine(win, a._replace(label=labels), coeffs, clab)
+    return win.vectors(_sweep(win, _no_columns(), mixed, drop_tol))
 
 
 def intersect_spans(basis_a, basis_b,
@@ -520,12 +588,12 @@ def overlap_suspects(vectors, cutoff: float):
     """
     vectors = list(vectors)
     win = Window(vectors)
-    a, labels = win.columns(vectors)
+    a, = win.families
     found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for rows, cols in _split(win, labels):
+    for rows, cols in _split(win, a.label):
         if cols.shape[1] < 2:
             continue
-        x = _gather(a, rows, cols)
+        x = _gather(win, a, rows, cols)
         if cols.shape[1] > _BLOCK:
             for block, idx in zip(x, cols):
                 i, j = gram_suspects(block, 0, cutoff)

@@ -163,6 +163,18 @@ def sparse_intersection(basis_a, basis_b, drop_tol: float = ORTHO_DROP_TOL):
     return sparse_sweep(combos, drop_tol=drop_tol)
 
 
+def combinations(coeffs, vectors) -> list[HVector]:
+    """sum_i coeffs[i, k] * vectors[i] for each column k of ``coeffs``, by
+    sparse arithmetic."""
+    out = []
+    for k in range(coeffs.shape[1]):
+        combo = HVector.zero()
+        for c, v in zip(coeffs[:, k], vectors):
+            combo = combo + v.scaled(c)
+        out.append(combo)
+    return out
+
+
 def span_residual_norm(x: HVector, basis) -> float:
     """Distance from x to the span of an orthonormal family."""
     return sparse_residual(x, basis).norm()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracle import (
+    combinations,
     sparse_intersection,
     sparse_residual,
     sparse_sweep,
@@ -172,7 +173,7 @@ def test_nullspace_combinations_annihilate():
     vectors = [a, b, a + b, c, c.scaled(1j)]
     coeffs = _linalg.nullspace_combinations(vectors)
     assert coeffs.shape == (5, 2)
-    for combo in _linalg.combinations(coeffs, vectors):
+    for combo in combinations(coeffs, vectors):
         assert combo.norm() <= 1e-12
 
 
@@ -299,8 +300,11 @@ def test_window_labels_components_of_all_families():
     win = _linalg.Window([e[0] + e[1], e[2]], [e[1] + e[3], e[4]])
     assert win.count == 3
     assert win.label.tolist() == [0, 0, 1, 0, 2]
-    # the zero vector has no component
-    assert win.columns([e[3], HVector.zero(), e[2]])[1].tolist() == [0, -1, 1]
+    # each family's columns carry their component; the zero vector has none
+    first, second = win.families
+    assert first.label.tolist() == [0, 1] and second.label.tolist() == [0, 2]
+    win = _linalg.Window([e[3], HVector.zero(), e[2]], [e[1] + e[3]])
+    assert win.families[0].label.tolist() == [0, -1, 1]
 
 
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
@@ -358,7 +362,7 @@ def test_component_nullspace_matches_dense_svd(seed):
     assert coeffs.shape == (len(vectors), len(vectors) - int(np.sum(s > cutoff)))
     assert np.allclose(coeffs.conj().T @ coeffs, np.eye(coeffs.shape[1]),
                        rtol=0, atol=1e-12)
-    for combo in _linalg.combinations(coeffs, vectors):
+    for combo in combinations(coeffs, vectors):
         assert combo.norm() <= 1e-12
 
 
@@ -379,3 +383,34 @@ def test_rank_cutoffs_use_the_largest_singular_value_overall():
     assert abs(coeffs[1, 0]) == pytest.approx(1.0)
     assert _linalg.nullspace_combinations(
         [large.scaled(1e-2), small]).shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_window_components_match_connectivity(seed):
+    """Rows share a label exactly when a chain of vectors links them."""
+    rng = np.random.default_rng(seed)
+    pool = [BasisIndex(0, p) for p in range(30)]
+    vectors = [_random_vector(rng, pool, int(rng.integers(1, 4)))
+               for _ in range(int(rng.integers(5, 25)))]
+    win = _linalg.Window(vectors[::2], vectors[1::2])
+    # reference: merge supports that meet until none do
+    groups = [set(v.support()) for v in vectors]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i] & groups[j]:
+                    groups[i] |= groups.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    same = {(a, b) for group in groups for a in group for b in group}
+    label = dict(zip(win.indices, win.label.tolist()))
+    for a in win.indices:
+        for b in win.indices:
+            assert (label[a] == label[b]) == ((a, b) in same)
+    # numbered in order of least members
+    firsts = [int(np.flatnonzero(win.label == c)[0]) for c in range(win.count)]
+    assert firsts == sorted(firsts)
