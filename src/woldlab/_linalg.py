@@ -1,10 +1,11 @@
 """Window kernel for subspace arithmetic on sparse vectors.
 
-Every routine converts its input families once to dense complex matrices
-over a ``Window`` (the sorted joint support of the inputs, one row per
-``BasisIndex``), does all of its work there with numpy, and converts the
-result back to ``HVector`` once.  ``HVector`` stays the type at the operator
-boundary; nothing here applies an operator.
+Every routine reads its input families once into a ``Window`` (the sorted
+joint support of the inputs, one row per ``BasisIndex``), where each family
+is held as its nonzero entries, does all of its work with numpy on dense
+blocks gathered from those entries, and converts the result back to
+``HVector`` once.  ``HVector`` stays the type at the operator boundary;
+nothing here applies an operator.
 
 The window is split into the connected components of the inputs' supports:
 two indices share a component when some vector of some input family, wall
@@ -98,19 +99,20 @@ class _Family(NamedTuple):
     val: np.ndarray
 
 
-def _family(label: np.ndarray, chunks, row=None, col=None,
-            val=None) -> _Family:
+_NO_ENTRIES = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+               np.empty(0, dtype=complex))
+
+
+def _family(label: np.ndarray, chunks, entries=_NO_ENTRIES) -> _Family:
     """A family from blocks: a chunk (cols (g, c), rows (g, r), x (g, r, c))
-    gives column cols[k, j] the values x[k, :, j] at rows rows[k].  Entries
-    (row, col, val) are added as they are; exact zeros are dropped."""
-    rows = [np.empty(0, dtype=np.intp) if row is None else row]
-    cols = [np.empty(0, dtype=np.intp) if col is None else col]
-    vals = [np.empty(0, dtype=complex) if val is None else val]
+    gives column cols[k, j] the values x[k, :, j] at rows rows[k].
+    ``entries`` (row, col, val) are added as they are; exact zeros are
+    dropped."""
+    parts = [entries]
     for c, r, x in chunks:
-        rows.append(r.repeat(x.shape[2]))
-        cols.append(c.repeat(x.shape[1], axis=0).ravel())
-        vals.append(x.ravel())
-    row, col, val = (np.concatenate(p) for p in (rows, cols, vals))
+        parts.append((r.repeat(x.shape[2]), c.repeat(x.shape[1], axis=0).ravel(),
+                      x.ravel()))
+    row, col, val = (np.concatenate(p) for p in zip(*parts))
     nonzero = val != 0
     return _Family(label, row[nonzero], col[nonzero], val[nonzero])
 
@@ -168,21 +170,9 @@ class Window:
         n = label.size
         self.label = label
         self.count = int(label.max()) + 1 if n else 0
-        if self.count == n:  # every row is a component of its own
-            self.layout = (label, label, np.ones(n, dtype=np.intp))
-            self.rank = np.zeros(n, dtype=np.intp)
-            return
         order, start, size = self.layout = _layout(label, self.count)
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[order] = np.arange(n) - np.repeat(start, size)
-
-    def matrix(self, vectors) -> np.ndarray:
-        """The vectors as the columns of a dense matrix over the window."""
-        a = np.zeros((len(self.indices), len(vectors)), dtype=complex)
-        for j, v in enumerate(vectors):
-            for idx, c in v._entries.items():
-                a[self.row[idx], j] = c
-        return a
 
     def join(self, labels: np.ndarray, coeffs: np.ndarray):
         """Merge the components that one combination ``coeffs[:, k]`` of
@@ -270,9 +260,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.add.reduce(parts * parts, axis=2), axis=1))
 
 
-def _hdot(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """b^H @ x per block, conjugating x rather than copying all of b."""
-    return (x.conj().swapaxes(1, 2) @ b).conj().swapaxes(1, 2)
+def _adjoint(b: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each block of a stack."""
+    return b.conj().swapaxes(1, 2)
 
 
 def _project_out(win: Window, a: _Family, q: _Family) -> _Family:
@@ -283,12 +273,13 @@ def _project_out(win: Window, a: _Family, q: _Family) -> _Family:
     for rows, acols, qcols in _split(win, a.label, q.label):
         if acols.shape[1] and qcols.shape[1]:
             x, b = _gather(win, a, rows, acols), _gather(win, q, rows, qcols)
+            bh = _adjoint(b)
             for _ in range(2):
-                x -= b @ _hdot(b, x)
+                x -= b @ (bh @ x)
             chunks.append((acols, rows, x))
             done[acols] = True
     rest = ~done[a.col]
-    return _family(a.label, chunks, a.row[rest], a.col[rest], a.val[rest])
+    return _family(a.label, chunks, (a.row[rest], a.col[rest], a.val[rest]))
 
 
 def _project(win: Window, a: _Family, q: _Family) -> _Family:
@@ -299,7 +290,7 @@ def _project(win: Window, a: _Family, q: _Family) -> _Family:
         if acols.shape[1] and qcols.shape[1]:
             b = _gather(win, q, rows, qcols)
             chunks.append((acols, rows,
-                           b @ _hdot(b, _gather(win, a, rows, acols))))
+                           b @ (_adjoint(b) @ _gather(win, a, rows, acols))))
     return _family(a.label, chunks)
 
 
@@ -339,7 +330,7 @@ def _sweep(win: Window, q: _Family, a: _Family, drop_tol: float) -> _Family:
         # the basis, and its conjugate transpose for the coefficients
         buf = np.zeros((g, r, min(r, start + width)), dtype=complex)
         buf[:, :, :start] = _gather(win, q, rows, qcols)
-        bufh = buf.conj().swapaxes(1, 2).copy()
+        bufh = _adjoint(buf).copy()
         cand = _gather(win, a, rows, acols)
         taken = np.zeros((g, buf.shape[2]), dtype=np.intp)  # input column
         k = np.full(g, start)

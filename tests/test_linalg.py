@@ -84,9 +84,23 @@ FAMILIES = ["random", "dependent", "kept_10x", "dropped_0.1x", "disjoint",
 SEEDS = range(4)
 
 
+def _dense(*families):
+    """The families as dense matrices over their joint sorted support."""
+    indices = sorted({idx for family in families for v in family
+                      for idx in v.support()})
+    row = {idx: i for i, idx in enumerate(indices)}
+    out = []
+    for family in families:
+        m = np.zeros((len(indices), len(family)), dtype=complex)
+        for j, v in enumerate(family):
+            for idx, c in v.items():
+                m[row[idx], j] = c
+        out.append(m)
+    return out
+
+
 def _projector_gap(a, b) -> float:
-    win = _linalg.Window(a, b)
-    pa, pb = win.matrix(a), win.matrix(b)
+    pa, pb = _dense(a, b)
     diff = pa @ pa.conj().T - pb @ pb.conj().T
     return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
 
@@ -97,8 +111,7 @@ def _assert_same_basis(got, want):
 
 
 def _assert_orthonormal(basis):
-    win = _linalg.Window(basis)
-    m = win.matrix(basis)
+    m, = _dense(basis)
     assert np.allclose(m.conj().T @ m, np.eye(len(basis)), rtol=0, atol=1e-12)
 
 
@@ -356,8 +369,7 @@ def test_component_nullspace_matches_dense_svd(seed):
     vectors = _block_family(seed)
     coeffs = _linalg.nullspace_combinations(vectors)
     # the dense SVD of the whole matrix, with the same cutoffs
-    win = _linalg.Window(vectors)
-    s = np.linalg.svd(win.matrix(vectors), compute_uv=False)
+    s = np.linalg.svd(_dense(vectors)[0], compute_uv=False)
     cutoff = max(NULLSPACE_ATOL, float(s[0]) * NULLSPACE_RTOL)
     assert coeffs.shape == (len(vectors), len(vectors) - int(np.sum(s > cutoff)))
     assert np.allclose(coeffs.conj().T @ coeffs, np.eye(coeffs.shape[1]),
