@@ -181,6 +181,8 @@ def parse_spectral(data) -> SpectralUnitary:
             raise DescriptionParseError(f"bad spectral JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DescriptionParseError("spectral description must be a JSON object")
+    if not all(isinstance(data.get(key, []), list) for key in ("arcs", "atoms")):
+        raise DescriptionParseError('"arcs" and "atoms" must be lists')
     arcs = []
     for item in data.get("arcs", []):
         try:

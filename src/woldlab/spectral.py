@@ -20,40 +20,26 @@ from .errors import MalformedInputError, PreconditionError
 _MAX_DENOM = 10 ** 12
 
 
-def _fraction_text(value: str, what: str) -> Fraction:
+def _fraction(value, what: str) -> Fraction:
+    """An exact fraction from a Fraction, an int or a string, or from a
+    finite float snapped to denominator at most _MAX_DENOM."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInputError(
-            f"cannot read {what} from {value!r}") from None
+        if isinstance(value, (Fraction, int, str)):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(value).limit_denominator(_MAX_DENOM)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass  # malformed text, a zero denominator, inf or nan
+    raise MalformedInputError(f"cannot read {what} from {value!r}")
 
 
 def as_angle(value) -> Fraction:
     """Normalize an angle (in turns) to an exact fraction in [0, 1)."""
-    if isinstance(value, Fraction):
-        f = value
-    elif isinstance(value, int):
-        f = Fraction(value)
-    elif isinstance(value, str):
-        f = _fraction_text(value, "an angle")
-    elif isinstance(value, float):
-        f = Fraction(value).limit_denominator(_MAX_DENOM)
-    else:
-        raise MalformedInputError(f"cannot read an angle from {value!r}")
-    return f % 1
+    return _fraction(value, "an angle") % 1
 
 
 def as_length(value) -> Fraction:
-    if isinstance(value, Fraction):
-        f = value
-    elif isinstance(value, int):
-        f = Fraction(value)
-    elif isinstance(value, str):
-        f = _fraction_text(value, "a length")
-    elif isinstance(value, float):
-        f = Fraction(value).limit_denominator(_MAX_DENOM)
-    else:
-        raise MalformedInputError(f"cannot read a length from {value!r}")
+    f = _fraction(value, "a length")
     if not 0 < f <= 1:
         raise MalformedInputError(f"arc length must lie in (0, 1], got {f}")
     return f

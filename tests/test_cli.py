@@ -392,7 +392,12 @@ def test_parser_is_built_once(capsys, monkeypatch, tmp_path):
     ("wold", "column.op",
      "lane 0 naturals\nlane 1 finite 1\ncolumn 1:0 = 1:0 1e308 0\n"
      "tail 0 0 -> 0 offset 1 phase 0\n"),
-], ids=["phase_1/0", "arc_start_1/0", "column_1e308"])
+    # JSON infinity as an arc start, arcs that are not a list, a nan angle
+    ("spectral", "inf.json", '{"arcs": [{"start": 1e400, "length": "1/2"}]}'),
+    ("spectral", "arcs.json", '{"arcs": 5}'),
+    ("spectral", "nan.json", '{"atoms": [{"angle": "nan", "mult": 1}]}'),
+], ids=["phase_1/0", "arc_start_1/0", "column_1e308", "arc_start_1e400",
+        "arcs_5", "angle_nan"])
 def test_malformed_description_fails_in_one_line(tmp_path, capsys, command,
                                                  name, text):
     path = tmp_path / name
