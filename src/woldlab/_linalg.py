@@ -157,9 +157,13 @@ class Window:
             heads.append(head[c])
             begin = end
         n = len(self.indices)
-        # every entry is joined to the head row of its vector
-        self._relabel(_components(n, np.concatenate(heads), rows) if linked
-                      else np.arange(n))
+        if linked:
+            # every entry is joined to the head row of its vector
+            heads = np.concatenate(heads)
+            apart = heads != rows
+            self._relabel(_components(n, heads[apart], rows[apart]))
+        else:
+            self._relabel(np.arange(n))
         outside = np.append(self.label, -1)  # index -1 picks the -1
         self.families = [_Family(outside[head], r, c, x)
                          for head, r, c, x in parts]
