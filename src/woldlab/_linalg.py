@@ -147,19 +147,18 @@ class Window:
         rows = np.array([row[idx] for idx in keys], dtype=np.intp)
         cols = np.array(cols, dtype=np.intp)
         vals = np.array(vals, dtype=complex)
-        parts, heads = [], []
+        parts = []
         begin = 0
         for width, end in ends:
             r, c = rows[begin:end], cols[begin:end]
             head = np.full(width, -1)
             head[c] = r  # some row of each vector, -1 for the zero vector
             parts.append((head, r, c, vals[begin:end]))
-            heads.append(head[c])
             begin = end
         n = len(self.indices)
         if linked:
             # every entry is joined to the head row of its vector
-            heads = np.concatenate(heads)
+            heads = np.concatenate([head[c] for head, _, c, _ in parts])
             apart = heads != rows
             self._relabel(_components(n, heads[apart], rows[apart]))
         else:
@@ -174,6 +173,10 @@ class Window:
         n = label.size
         self.label = label
         self.count = int(label.max()) + 1 if n else 0
+        if self.count == n:  # every row a component of its own
+            self.layout = (label, label, np.ones(n, dtype=np.intp))
+            self.rank = np.zeros(n, dtype=np.intp)
+            return
         order, start, size = self.layout = _layout(label, self.count)
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[order] = np.arange(n) - np.repeat(start, size)

@@ -662,8 +662,9 @@ def reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificat
     inner_depth = max(depth - margin, 1)
     indices = v.window_indices(inner_depth)
     units = [HVector([(idx, 1.0)]) for idx in indices]
-    lhs = _linalg.project([v.apply(e) for e in units], basis)
-    rhs = _linalg.project(units, basis)
+    # P V e and P e for every unit e, from one window
+    both = _linalg.project([v.apply(e) for e in units] + units, basis)
+    lhs, rhs = both[:len(units)], both[len(units):]
     for idx, pv, p in zip(indices, lhs, rhs):
         if (pv - v.apply(p)).norm() > tol:
             return false_certificate(inner_depth, idx)
