@@ -32,9 +32,8 @@ Rank cutoffs of SVD spans and nullspaces compare each singular value with
 the largest singular value of the whole matrix, not of its component, so a
 small block next to a large one is judged as the dense matrix would be.
 
-Matrix products go through BLAS, and components group the sums of a
-product differently from the whole-window product, so the last digits of
-coefficients can depend on the BLAS build, its thread count and the split.
+Matrix products go through BLAS, so the last digits of coefficients can
+depend on the BLAS build, its thread count and the block shapes.
 """
 
 from __future__ import annotations

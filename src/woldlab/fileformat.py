@@ -111,12 +111,16 @@ def parse_operator(text: str, name: str | None = None) -> StructuredIsometry:
                         chunk.append(token)
                 if src in columns:
                     raise DescriptionParseError(f"duplicate column for {src}", line_no)
-                if not math.isfinite(_squared_norm(c for _, c in entries)):
+                column = HVector(entries)
+                # float products round to inf instead of raising, so an
+                # overflowing squared norm shows as a non-finite sum
+                if not math.isfinite(sum(c.real * c.real + c.imag * c.imag
+                                         for c in column._entries.values())):
                     raise DescriptionParseError(
                         f"column {src} is not finite or its squared norm "
                         "overflows", line_no
                     )
-                columns[src] = HVector(entries)
+                columns[src] = column
             elif head == "tail":
                 if tokens[3] != "->" or tokens[5] != "offset" or tokens[7] != "phase":
                     raise DescriptionParseError(
@@ -212,14 +216,6 @@ def _read_fraction(value):
     raise MalformedInputError(f"cannot read a fraction from {value!r}")
 
 
-def _squared_norm(coefficients) -> float:
-    """Sum of |c|^2, inf (rather than OverflowError) when it overflows:
-    hypot scales, and the product of two floats rounds to inf."""
-    norm = math.hypot(*(part for c in coefficients
-                        for part in (c.real, c.imag)))
-    return norm * norm
-
-
 def parse_vector_literal(text: str) -> HVector:
     entries = []
     for part in text.split(","):
@@ -247,7 +243,10 @@ def parse_vector_literal(text: str) -> HVector:
     vector = HVector(entries)
     if vector.is_zero():
         raise MalformedInputError("the vector literal is (numerically) zero")
-    if not math.isfinite(_squared_norm(c for _, c in vector.items())):
+    # overflow-safe: hypot scales, and the product is inf rather than raising
+    norm = math.hypot(*(part for _, c in vector.items()
+                        for part in (c.real, c.imag)))
+    if not math.isfinite(norm * norm):
         raise MalformedInputError(
             "the vector literal is too large: its squared norm overflows"
         )
