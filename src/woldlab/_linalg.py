@@ -345,7 +345,7 @@ def _sweep(win: Window, q: _Family, a: _Family, drop_tol: float) -> _Family:
         for j in range(width):
             b, bh = buf[:, :, :top], bufh[:, :top]
             x = cand[:, :, j:j + 1]
-            for _ in range(2):
+            for _ in range(2 if top else 0):  # nothing to project onto yet
                 x -= b @ (bh @ x)
             norm = _norm(x)
             keep = norm >= drop_tol
@@ -359,7 +359,8 @@ def _sweep(win: Window, q: _Family, a: _Family, drop_tol: float) -> _Family:
             # normalizing a barely-surviving residual amplifies rounding
             # noise, so orthogonalize once more after scaling
             x = x / norm[:, None, None]
-            x -= b @ (bh @ x)
+            if top:
+                x -= b @ (bh @ x)
             x /= _norm(x)[:, None, None]
             at = k[sel]
             buf[sel, :, at] = x[:, :, 0]
