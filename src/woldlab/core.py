@@ -507,7 +507,8 @@ class StructuredIsometry:
             idx for idx in got
             if idx.lane not in ranges or idx.position not in ranges[idx.lane]
         )
-        missing_count = (sum(len(r) for r in ranges.values())
+        # range lengths by arithmetic: len() fails beyond sys.maxsize
+        missing_count = (sum(max(r.stop - r.start, 0) for r in ranges.values())
                          - (len(got) - len(extra)))
         if not missing_count and not extra:
             return

@@ -199,7 +199,7 @@ def parse_spectral(data) -> SpectralUnitary:
         try:
             atoms.append((as_angle(_read_fraction(item["angle"])),
                           int(item["mult"])))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DescriptionParseError(f"bad atom entry {item!r}") from exc
     return SpectralUnitary(tuple(arcs), tuple(atoms))
 

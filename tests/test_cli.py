@@ -396,8 +396,11 @@ def test_parser_is_built_once(capsys, monkeypatch, tmp_path):
     ("spectral", "inf.json", '{"arcs": [{"start": 1e400, "length": "1/2"}]}'),
     ("spectral", "arcs.json", '{"arcs": 5}'),
     ("spectral", "nan.json", '{"atoms": [{"angle": "nan", "mult": 1}]}'),
+    # an atom multiplicity that is no integer, a finite lane beyond maxsize
+    ("spectral", "mult.json", '{"atoms": [{"angle": "1/3", "mult": 1e400}]}'),
+    ("wold", "lane.op", "lane 0 finite 99999999999999999999\n"),
 ], ids=["phase_1/0", "arc_start_1/0", "column_1e308", "arc_start_1e400",
-        "arcs_5", "angle_nan"])
+        "arcs_5", "angle_nan", "mult_1e400", "finite_lane_1e20"])
 def test_malformed_description_fails_in_one_line(tmp_path, capsys, command,
                                                  name, text):
     path = tmp_path / name
