@@ -323,7 +323,7 @@ def _merge(win: Window, found) -> _Family:
     return _family(label, chunks)
 
 
-def _sweep(win: Window, q: _Family, a: _Family, drop_tol: float) -> _Family:
+def _sweep(win: Window, q: _Family, a: _Family) -> _Family:
     """Orthonormal columns extending the orthonormal ``q`` to span the
     columns of ``a`` as well, swept in input order within each component;
     only the new columns are returned, in input order."""
@@ -348,7 +348,7 @@ def _sweep(win: Window, q: _Family, a: _Family, drop_tol: float) -> _Family:
             for _ in range(2 if top else 0):  # nothing to project onto yet
                 x -= b @ (bh @ x)
             norm = _norm(x)
-            keep = norm >= drop_tol
+            keep = norm >= ORTHO_DROP_TOL
             if full:
                 keep &= k < r
             sel = every[keep]
@@ -405,15 +405,14 @@ def _span(win: Window, a: _Family) -> _Family:
     return _merge(win, found)
 
 
-def _nullspace(win: Window, a: _Family,
-               atol: float = NULLSPACE_ATOL) -> np.ndarray:
+def _nullspace(win: Window, a: _Family) -> np.ndarray:
     """Orthonormal coefficient columns c with a @ c = 0, up to the numerical
     rank.  A column of ``a`` with empty support is a free direction of its
     own.
 
     Each component's block has its own SVD; the cutoff is
-    max(atol, NULLSPACE_RTOL * largest singular value overall).  Columns
-    come ordered by the first input column they combine.
+    max(NULLSPACE_ATOL, NULLSPACE_RTOL * largest singular value overall).
+    Columns come ordered by the first input column they combine.
     """
     n = a.label.size
     parts = []
@@ -430,7 +429,7 @@ def _nullspace(win: Window, a: _Family,
             _, s, vh = np.linalg.svd(x, full_matrices=rows.shape[1] < width)
         parts.append((acols, s, vh))
         top = max(top, float(s[:, 0].max()))
-    cutoff = max(atol, top * NULLSPACE_RTOL)
+    cutoff = max(NULLSPACE_ATOL, top * NULLSPACE_RTOL)
     free = np.flatnonzero(a.label < 0)
     found = [(free * n, free[:, None], np.ones((free.size, 1), dtype=complex))]
     for acols, s, vh in parts:
@@ -460,11 +459,11 @@ def _combine(win: Window, a: _Family, coeffs: np.ndarray,
     return _family(clab, chunks)
 
 
-def mgs(vectors, drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+def mgs(vectors) -> list[HVector]:
     """Orthonormal basis of the span, in input order."""
     vectors = list(vectors)
     win = Window(vectors)
-    return win.vectors(_sweep(win, _no_columns(), *win.families, drop_tol))
+    return win.vectors(_sweep(win, _no_columns(), *win.families))
 
 
 def orthonormal_span(vectors) -> list[HVector]:
@@ -480,8 +479,7 @@ def orthonormal_span(vectors) -> list[HVector]:
     return win.vectors(_span(win, *win.families), prune=0.0)
 
 
-def complement_basis(candidates, constraints,
-                     drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+def complement_basis(candidates, constraints) -> list[HVector]:
     """Orthonormal basis of span(candidates) ∩ span(constraints)^⊥.
 
     Candidates are swept in order; whatever survives orthogonalization
@@ -491,7 +489,7 @@ def complement_basis(candidates, constraints,
     wall = orthonormal_span(constraints)
     win = Window(candidates, wall)
     a, q = win.families
-    return win.vectors(_sweep(win, q, a, drop_tol))
+    return win.vectors(_sweep(win, q, a))
 
 
 def orthogonal_residual(vectors, basis) -> list[HVector]:
@@ -509,8 +507,7 @@ def project(vectors, basis) -> list[HVector]:
     return win.vectors(_project(win, *win.families))
 
 
-def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL,
-                           basis=()) -> np.ndarray:
+def nullspace_combinations(vectors, basis=()) -> np.ndarray:
     """Coefficient matrix whose columns a satisfy sum_i a_i * vectors[i] = 0,
     or, given an orthonormal ``basis``, lies in its span (the residual
     against it vanishes).  The columns are orthonormal and span all such
@@ -521,11 +518,10 @@ def nullspace_combinations(vectors, atol: float = NULLSPACE_ATOL,
     a, q = win.families
     if basis:
         a = _project_out(win, a, q)
-    return _nullspace(win, a, atol)
+    return _nullspace(win, a)
 
 
-def combination_basis(coeffs: np.ndarray, vectors,
-                      drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+def combination_basis(coeffs: np.ndarray, vectors) -> list[HVector]:
     """Orthonormal basis, swept in order, of the combinations
     sum_i coeffs[i, k] * vectors[i], without building them as vectors."""
     vectors = list(vectors)
@@ -533,11 +529,10 @@ def combination_basis(coeffs: np.ndarray, vectors,
     a, = win.families
     labels, clab = win.join(a.label, coeffs)
     mixed = _combine(win, a._replace(label=labels), coeffs, clab)
-    return win.vectors(_sweep(win, _no_columns(), mixed, drop_tol))
+    return win.vectors(_sweep(win, _no_columns(), mixed))
 
 
-def intersect_spans(basis_a, basis_b,
-                    drop_tol: float = ORTHO_DROP_TOL) -> list[HVector]:
+def intersect_spans(basis_a, basis_b) -> list[HVector]:
     """Orthonormal basis of span(basis_a) ∩ span(basis_b): the combinations
     of ``basis_a`` whose residual against the orthonormal ``basis_b``
     vanishes, swept in order."""
@@ -545,22 +540,20 @@ def intersect_spans(basis_a, basis_b,
     if not basis_a or not basis_b:
         return []
     return combination_basis(
-        nullspace_combinations(basis_a, basis=basis_b), basis_a, drop_tol)
+        nullspace_combinations(basis_a, basis=basis_b), basis_a)
 
 
-def gram_suspects(a: np.ndarray, start: int, cutoff: float):
-    """Pairs (i, j) of columns, j < i and i >= start, whose dense overlap
-    |<a_j, a_i>| exceeds ``cutoff``, as two index arrays in row-major order
-    (by i, then j).
+def gram_suspects(a: np.ndarray, cutoff: float):
+    """Pairs (i, j) of columns, j < i, whose dense overlap |<a_j, a_i>|
+    exceeds ``cutoff``, as two index arrays in row-major order (by i, then
+    j).
 
-    Only the Gram rows of the columns from ``start`` on are formed, in
-    blocks, so temporaries stay small and columns appended to a matrix
-    whose earlier pairs are already known cost only their own rows.  The
+    The Gram rows are formed in blocks, so temporaries stay small.  The
     overlaps carry BLAS rounding: callers pick a cutoff below their
     decision threshold and re-measure the suspects.
     """
     found_i, found_j = [], []
-    for first in range(start, a.shape[1], _BLOCK):
+    for first in range(0, a.shape[1], _BLOCK):
         block = a[:, first:first + _BLOCK]
         # gram[r, j] = <a_j, a_(first + r)>, kept for j < first + r
         gram = block.conj().T @ a[:, :first + block.shape[1]]
@@ -594,7 +587,7 @@ def overlap_suspects(vectors, cutoff: float):
         x = _gather(win, a, rows, cols)
         if cols.shape[1] > _BLOCK:
             for block, idx in zip(x, cols):
-                i, j = gram_suspects(block, 0, cutoff)
+                i, j = gram_suspects(block, cutoff)
                 found_i.append(idx[i])
                 found_j.append(idx[j])
             continue

@@ -95,10 +95,15 @@ DEFAULT_DEPTH = 64
 DEFAULT_HORIZON = 64
 
 # Largest horizon ``is_wandering`` and ``is_strongly_wandering`` accept.  The
-# strong pair table is a dense window x (2h + 1) matrix, with windows that
-# widen like h when supports drift, and its scan order a (2h + 1)^2 rank
-# matrix, so memory grows as h^2.  At 512, the strong test of e_(1,0) on the
-# catalog's bilateral_plus_shift peaks at about 70 MB of resident memory.
+# tests keep the orbit vectors (up to 2h + dip + 3 forward, h + 1 backward)
+# and, for the strong test, an index from basis indices to the vectors
+# holding them, so memory grows like h times the vectors' support.  The
+# strong test measures every pair of vectors sharing an index, which is
+# up to about 2h^2 pairs when an orbit keeps returning to the same indices.
+# At 512 the strong test of e_(1,0) on the catalog's bilateral_plus_shift
+# peaks at about 31 MB of resident memory (interpreter included), and that
+# of e_(1,0) + 1e-8 e_(0,0) on cycle_plus_shift, whose orbit vectors all
+# touch the two-element cycle, takes about 0.55 s.
 MAX_HORIZON = 512
 
 

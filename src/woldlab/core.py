@@ -113,16 +113,14 @@ class HVector:
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries=(), tol: float | None = None):
-        if tol is None:
-            tol = PRUNE_TOL
+    def __init__(self, entries=()):
         acc: dict[BasisIndex, complex] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for idx, coeff in items:
             if not isinstance(idx, BasisIndex):
                 raise MalformedInputError(f"not a basis index: {idx!r}")
             acc[idx] = acc.get(idx, 0j) + complex(coeff)
-        self._entries = {idx: c for idx, c in acc.items() if abs(c) > tol}
+        self._entries = {idx: c for idx, c in acc.items() if abs(c) > PRUNE_TOL}
 
     @classmethod
     def _pruned(cls, acc: dict) -> "HVector":

@@ -18,10 +18,8 @@ an undecided verdict) rather than being rounded up to theorems.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
 
 from . import _linalg
 from .certificates import (
@@ -58,7 +56,7 @@ DIED = "died"
 OPEN = "open"
 
 _INF = 10 ** 18
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass
@@ -397,56 +395,11 @@ def is_wandering(v: StructuredIsometry, x: HVector,
     return true_certificate(horizon, exact=orbit.certified)
 
 
-@lru_cache(maxsize=4)
-def _pair_ranks(horizon: int) -> np.ndarray:
-    """rank[n + h, m + h] of each pair (n, m), m < n, in the canonical scan
-    order: small exponents first, forward pairs before adjoint ones, i.e.
-    ascending (max(|n|, |m|), |n| + |m|, -n, -m).  Entries on and above the
-    diagonal are unused.  Stored in the smallest unsigned type that holds
-    every rank, and read-only, since the cache shares it."""
-    size = 2 * horizon + 1
-    rows, cols = np.tril_indices(size, k=-1)
-    n, m = rows - horizon, cols - horizon
-    order = np.lexsort((-m, -n, np.abs(n) + np.abs(m),
-                        np.maximum(np.abs(n), np.abs(m))))
-    rank = np.full((size, size), rows.size,
-                   dtype=np.min_scalar_type(rows.size))
-    rank[rows[order], cols[order]] = np.arange(rows.size)
-    rank.flags.writeable = False
-    return rank
-
-
-def _overlap_cutoff(rows: int, norm: float, tol: float) -> float:
-    """Prefilter cutoff for |<a_i, a_j>| taken from the dense product of
-    columns with ``rows`` entries and norms up to ``norm``.
-
-    The dense and the sparse sum of a complex dot product over ``rows``
-    entries each lie within about (rows + 3) u ||a_i|| ||a_j|| of the exact
-    value (u = eps / 2, Cauchy-Schwarz on the sum of |products|; twice that
-    for BLAS builds that form complex products from three real ones), so
-    they differ by less than slack = 4 (rows + 2) eps max_k ||a_k||^2.  A
-    pair whose sparse overlap exceeds ``tol`` thus has a dense overlap
-    above tol - slack.  The cutoff is halfway to ``tol``, or lower when the
-    slack needs more room; for large vectors it drops below zero and every
-    pair is re-measured.
-    """
-    slack = 4 * (rows + 2) * _EPS * norm * norm
-    return min(0.5 * tol, tol - slack)
-
-
-def _append_columns(a: np.ndarray, rows: dict, vectors) -> np.ndarray:
-    """``a`` with the vectors appended as columns.  Rows follow the order in
-    which indices first appear, and ``rows`` (index -> row) is extended in
-    place, so earlier columns keep their rows and only gain zeros."""
-    for v in vectors:
-        for idx in v._entries:
-            rows.setdefault(idx, len(rows))
-    out = np.zeros((len(rows), a.shape[1] + len(vectors)), dtype=complex)
-    out[:a.shape[0], :a.shape[1]] = a
-    for j, v in enumerate(vectors, start=a.shape[1]):
-        for idx, c in v._entries.items():
-            out[rows[idx], j] = c
-    return out
+def _scan_key(pair):
+    """Sort key of the pair (n, m), m < n, in the canonical scan order:
+    small exponents first, forward pairs before adjoint ones."""
+    n, m = pair
+    return (max(abs(n), abs(m)), abs(n) + abs(m), -n, -m)
 
 
 def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
@@ -457,49 +410,40 @@ def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
 
     The table's column k is V^k x for k >= 0 (the last orbit vector past a
     dead forward orbit) and V*^-k x for k < 0 (zero past a dead backward
-    one).  It is scanned in shells max(|n|, |m|) <= s for s = 1, 2, 4, ...,
-    horizon, growing both orbits only as far as the shell needs.  Each
-    shell appends its new columns to one dense matrix and forms only their
-    Gram rows, which mark every pair that may pass ``tol``; the suspects
-    are re-measured with the sparse inner product in canonical order.  The
-    canonical order sorts by max(|n|, |m|) first and earlier shells came
-    out clean, so the first confirmed suspect is the witness the
-    pair-by-pair loop over the whole table would report.
+    one).  Exponents j = 1, 2, ..., horizon are taken one at a time,
+    growing both orbits only as far as j.  Columns with disjoint supports
+    have an inner product of exactly 0, so an index from each basis index
+    to the columns holding it names the only pairs that can pass ``tol``:
+    those of the new columns j and -j with a column sharing an index.  They
+    are measured with the sparse inner product in canonical order, which
+    sorts by max(|n|, |m|) = j first, so the first violation found is the
+    one the pair-by-pair loop over the whole table would report.
     """
     zero = HVector.zero()
-    rank = _pair_ranks(horizon)
-    # shells append the columns of exponents 1, -1, 2, -2, ... after x's
-    exponents = np.arange(2 * horizon + 1)
-    exponents = np.where(exponents % 2, (exponents + 1) // 2, -exponents // 2)
     table = {0: fwd.vectors[0]}
-    rows: dict = {}
-    a = _append_columns(np.zeros((0, 0), dtype=complex), rows, [table[0]])
-    norm = float(np.linalg.norm(a))
-    reached = 0
-    while reached < horizon:
-        shell = min(2 * reached, horizon) or 1
-        new = exponents[2 * reached + 1:2 * shell + 1].tolist()
-        for k in new:
-            if k > 0:
-                table[k] = fwd.vectors[k] if fwd.reach(k) else fwd.vectors[-1]
-            else:
-                table[k] = back.vectors[-k] if back.reach(-k) else zero
-        start = a.shape[1]
-        a = _append_columns(a, rows, [table[k] for k in new])
-        norm = max(norm, float(np.linalg.norm(a[:, start:], axis=0).max()))
-        found_i, found_j = _linalg.gram_suspects(
-            a, start, _overlap_cutoff(a.shape[0], norm, tol))
-        ei, ej = exponents[found_i], exponents[found_j]
-        big, small = np.maximum(ei, ej), np.minimum(ei, ej)
-        for s in np.argsort(rank[big + horizon, small + horizon]):
-            n, m = int(big[s]), int(small[s])
+    holders: dict = {}  # basis index -> exponents of the columns holding it
+
+    def partners(k: int) -> set:
+        """Exponents of the earlier columns sharing an index with column k,
+        which is then entered in the index."""
+        found = set()
+        for idx in table[k]._entries:
+            held = holders.setdefault(idx, [])
+            found.update(held)
+            held.append(k)
+        return found
+
+    partners(0)
+    for j in range(1, horizon + 1):
+        table[j] = fwd.vectors[j] if fwd.reach(j) else fwd.vectors[-1]
+        table[-j] = back.vectors[j] if back.reach(j) else zero
+        pairs = [(j, m) for m in partners(j)]
+        pairs += [(n, -j) for n in partners(-j)]
+        for n, m in sorted(pairs, key=_scan_key):
             if abs(table[n].inner(table[m])) > tol:
                 return (n, m)
-        reached = shell
     # the forward values must also cover the extended range used to reduce
-    # mixed pairs <V^n x, V*^m x> = <V^(n+m) x, x>.  These vectors stay out
-    # of the dense table: their supports drift away from x's, so they would
-    # widen its window for overlaps that are mostly empty.
+    # mixed pairs <V^n x, V*^m x> = <V^(n+m) x, x>
     r = _first_return(fwd, horizon + 1, 2 * horizon, tol)
     return None if r is None else (r, 0)
 
@@ -512,17 +456,13 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
     Orbits are grown only until the answer is fixed.  For a unitary
     operator every pair reduces to a forward test of the difference
     exponent, so the forward orbit is stepped and tested until the first
-    return or until it escapes.  Otherwise the pair table is scanned in
-    shells max(|n|, |m|) <= s for s = 1, 2, 4, ..., horizon, and a
-    violation is reported as the first pair in canonical order: small
-    exponents first, forward pairs before adjoint ones (see
-    ``_pair_ranks``).  Since that order sorts by max(|n|, |m|) first, the
-    first violation in a shell is the first of the whole table, and a
-    shell adds only the pairs that reach its new exponents.  Each shell's
-    overlaps come from the Gram rows of its new columns, used as a
-    prefilter; every pair they flag is confirmed by re-measuring it with
-    the sparse inner product, so the verdict and the witness do not depend
-    on BLAS rounding.  A clean table is followed by the extended forward
+    return or until it escapes.  Otherwise the pair table is scanned one
+    exponent at a time, j = 1, 2, ..., horizon, and a violation is reported
+    as the first pair in canonical order: small exponents first, forward
+    pairs before adjoint ones (see ``_scan_key``).  Only pairs whose
+    vectors share a basis index are measured, with the sparse inner
+    product; every other pair is exactly orthogonal (see
+    ``_first_overlap``).  A clean table is followed by the extended forward
     range, tested only while the forward orbit has not escaped.  Exactness
     additionally requires the backward orbit to die out within the
     horizon, which reduces every untested mixed or backward pair to a
@@ -560,7 +500,8 @@ def _strong_exactness(v, x, horizon, fwd, back) -> bool:
     if len(components) > 1:
         for component in components:
             xc = x.restricted_to_lanes(component)
-            if xc.is_zero():
+            # its overlaps are at most ||xc||^2 <= tol^2
+            if xc.is_zero(tolerance()):
                 continue
             vc = v.restricted_to_lanes(component)
             cert = is_strongly_wandering(vc, xc, horizon)

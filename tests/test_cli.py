@@ -1,9 +1,16 @@
 """CLI contract: report content, exit codes, format parity, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import operator_texts, spectral_texts, vector_literals
 from woldlab import cli, wold
 
 
@@ -409,3 +416,44 @@ def test_malformed_description_fails_in_one_line(tmp_path, capsys, command,
     assert code == cli.INVALID
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tiny_lane_component_is_not_the_zero_vector(capsys):
+    """A nonzero component of norm below the tolerance on its own lane does
+    not make the strong test refuse the whole vector as zero."""
+    code, out, err = run_cli(
+        capsys, "wander", "--strong", "--input", "catalog:cycle_plus_shift",
+        "--vector", "1:0=1,0:0=1e-10", "--horizon", "8", "--format", "json",
+    )
+    assert (code, err) == (cli.OK, "")
+    certificate = json.loads(out)["certificate"]
+    assert certificate["verdict"] == "true" and certificate["exact"] is True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(operator_texts.map(lambda t: ("wold", t, "")),
+                 spectral_texts.map(lambda t: ("spectral", t, "")),
+                 vector_literals.map(lambda v: ("wander", "", v))))
+def test_every_error_is_one_stderr_line(query):
+    """Whatever the description or vector literal, the CLI answers with a
+    report, or exits 1 with one line on stderr and nothing on stdout."""
+    command, text, vector = query
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(text)
+        argv = [command, "--input", str(path)]
+        if command == "wold":
+            argv += ["--depth", "2"]
+        if command == "wander":
+            # the = form, or argparse reads a literal led by "-" as an option
+            argv = [command, "--input", "catalog:shift", f"--vector={vector}",
+                    "--horizon", "2"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    if code == cli.INVALID:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and out.getvalue()

@@ -1,10 +1,21 @@
 """Operator description files, spectral JSON and vector literals."""
 
 import pytest
+from hypothesis import given, settings
 
+from strategies import (
+    operator_texts,
+    spectral_data,
+    spectral_texts,
+    vector_literals,
+)
 from woldlab import catalog, fileformat
 from woldlab.core import BasisIndex
-from woldlab.errors import DescriptionParseError, MalformedInputError
+from woldlab.errors import (
+    DescriptionParseError,
+    MalformedInputError,
+    WoldlabError,
+)
 
 SAMPLE = """
 # fixed point plus shift
@@ -88,3 +99,35 @@ def test_vector_literal_rejects_garbage():
         fileformat.parse_vector_literal("0:0")
     with pytest.raises(MalformedInputError):
         fileformat.parse_vector_literal("0:0=abc")
+
+
+# -- every input parses or is refused with a WoldlabError ------------------------
+#
+# Derandomized, so every run tries the same inputs.
+
+PARSER_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _parses_or_refuses(parse, arg):
+    try:
+        parse(arg)
+    except WoldlabError:
+        pass
+
+
+@PARSER_SETTINGS
+@given(operator_texts)
+def test_parse_operator_parses_or_refuses(text):
+    _parses_or_refuses(fileformat.parse_operator, text)
+
+
+@PARSER_SETTINGS
+@given(spectral_data | spectral_texts)
+def test_parse_spectral_parses_or_refuses(data):
+    _parses_or_refuses(fileformat.parse_spectral, data)
+
+
+@PARSER_SETTINGS
+@given(vector_literals)
+def test_parse_vector_literal_parses_or_refuses(text):
+    _parses_or_refuses(fileformat.parse_vector_literal, text)

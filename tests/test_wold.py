@@ -2,6 +2,7 @@
 unitary extensions and bilateral orbits."""
 
 import math
+import random
 
 import pytest
 
@@ -213,12 +214,16 @@ def _strong_verdict(cert):
 
 @pytest.mark.parametrize("horizon", STRONG_SCAN_HORIZONS + (96,))
 def test_pair_ranks_follow_scan_order(horizon):
-    rank = wold._pair_ranks(horizon)
-    ranked = sorted(scan_pairs(horizon),
-                    key=lambda nm: rank[nm[0] + horizon, nm[1] + horizon])
-    assert ranked == scan_pairs(horizon)
-    assert sorted(rank[n + horizon, m + horizon]
-                  for n, m in ranked) == list(range(len(ranked)))
+    """The pairs reaching j or -j, taken for j = 1, 2, ..., horizon and
+    sorted by ``_scan_key`` within each j, come out in ``scan_pairs``
+    order, each pair once."""
+    scan = []
+    for j in range(1, horizon + 1):
+        new = [(j, m) for m in range(1 - j, j)]
+        new += [(n, -j) for n in range(1 - j, j + 1)]
+        random.Random(j).shuffle(new)
+        scan += sorted(new, key=wold._scan_key)
+    assert scan == scan_pairs(horizon)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
@@ -303,6 +308,16 @@ def test_strong_witness_in_each_shell(shift, gap):
             _strong_verdict(loop_strongly_wandering(shift, x, horizon))
         if (gap + 1) // 2 <= horizon:
             assert got.witness == ((gap + 1) // 2, -(gap // 2))
+
+
+@pytest.mark.parametrize("small", [1e-10, 1e-8])
+def test_tiny_lane_component_counts_as_wandering(small):
+    """On cycle_plus_shift the cycle lane's part of e_(1,0) + small e_(0,0)
+    is skipped by the componentwise exactness check when its norm is at
+    most the tolerance, as a zero part is, and certified otherwise."""
+    x = basis(1, 0) + basis(0, 0, small)
+    got = is_strongly_wandering(catalog.cycle_plus_shift(), x, 8)
+    assert got.is_true and got.exact
 
 
 def _counting(op):
