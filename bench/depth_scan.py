@@ -9,11 +9,11 @@ memory of its process.  Repeats alternate which tree runs first; the
 summary gives medians, the speed-up, and whether the reports are
 byte-identical between the trees.
 
-    python3 bench/depth_scan.py --baseline REV [--repeats 3] [--out FILE]
+    python3 bench/depth_scan.py --baseline REV --out FILE [--repeats 3]
 
 REV is any git revision of this repository; it is exported with
-``git archive`` into a temporary directory.  Run from anywhere; the output
-defaults to ``BENCH_6.json`` at the repository root.
+``git archive`` into a temporary directory.  Run from anywhere; FILE has
+no default, so a run never overwrites an earlier record by accident.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", required=True,
                         help="git revision to compare the working tree with")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="where to write the JSON record")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")

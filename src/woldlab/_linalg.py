@@ -34,6 +34,18 @@ small block next to a large one is judged as the dense matrix would be.
 
 Matrix products go through BLAS, so the last digits of coefficients can
 depend on the BLAS build, its thread count and the block shapes.
+
+Families whose vectors have one entry each (basis vectors e_k and their
+images phase * e_j, most of what the analyses offer) skip the window and
+are answered row by row: each index is a component of its own, and every
+block primitive has a one-row form on 1-D arrays built from the same numpy
+operations, so the bits are those of the window.  One-term products are
+formed as the matmul loops form them, each real product rounded on its
+own (numpy's complex multiply may fuse them).  Each routine reads its
+families once for this and builds the window as soon as a vector has two
+entries, or where a row would need a sum of several terms: two span
+inputs, two basis vectors, two nullspace inputs or two combined vectors on
+one index, or a coefficient column that mixes two vectors.
 """
 
 from __future__ import annotations
@@ -130,7 +142,6 @@ class Window:
 
     def __init__(self, *families):
         keys, vals, cols, ends = [], [], [], []
-        linked = False  # some vector has two or more entries
         for family in families:
             width = 0
             for j, v in enumerate(family):
@@ -138,7 +149,6 @@ class Window:
                 keys += entries
                 vals += entries.values()
                 cols += [j] * len(entries)
-                linked = linked or len(entries) > 1
                 width = j + 1
             ends.append((width, len(keys)))
         self.indices = sorted(set(keys))
@@ -154,14 +164,10 @@ class Window:
             head[c] = r  # some row of each vector, -1 for the zero vector
             parts.append((head, r, c, vals[begin:end]))
             begin = end
-        n = len(self.indices)
-        if linked:
-            # every entry is joined to the head row of its vector
-            heads = np.concatenate([head[c] for head, _, c, _ in parts])
-            apart = heads != rows
-            self._relabel(_components(n, heads[apart], rows[apart]))
-        else:
-            self._relabel(np.arange(n))
+        # every entry is joined to the head row of its vector
+        heads = np.concatenate([head[c] for head, _, c, _ in parts])
+        apart = heads != rows
+        self._relabel(_components(len(self.indices), heads[apart], rows[apart]))
         outside = np.append(self.label, -1)  # index -1 picks the -1
         self.families = [_Family(outside[head], r, c, x)
                          for head, r, c, x in parts]
@@ -172,10 +178,6 @@ class Window:
         n = label.size
         self.label = label
         self.count = int(label.max()) + 1 if n else 0
-        if self.count == n:  # every row a component of its own
-            self.layout = (label, label, np.ones(n, dtype=np.intp))
-            self.rank = np.zeros(n, dtype=np.intp)
-            return
         order, start, size = self.layout = _layout(label, self.count)
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[order] = np.arange(n) - np.repeat(start, size)
@@ -203,16 +205,22 @@ class Window:
         col, row = fam.col[keep], fam.row[keep]
         order = np.lexsort((row, col))
         indices = self.indices
-        keys = [indices[i] for i in row[order].tolist()]
-        vals = fam.val[keep][order].tolist()
-        out = []
-        start = 0
-        for n in np.bincount(col, minlength=fam.label.size).tolist():
-            v = object.__new__(HVector)
-            v._entries = dict(zip(keys[start:start + n], vals[start:start + n]))
-            out.append(v)
-            start += n
-        return out
+        return _vectors(fam.label.size, col[order],
+                        [indices[i] for i in row[order].tolist()],
+                        fam.val[keep][order].tolist())
+
+
+def _vectors(size: int, col: np.ndarray, keys: list, vals: list) -> list[HVector]:
+    """``size`` vectors from their entries (column, index, value), sorted
+    by column."""
+    out = []
+    start = 0
+    for n in np.bincount(col, minlength=size).tolist():
+        v = object.__new__(HVector)
+        v._entries = dict(zip(keys[start:start + n], vals[start:start + n]))
+        out.append(v)
+        start += n
+    return out
 
 
 def _split(win: Window, *labels: np.ndarray):
@@ -459,9 +467,148 @@ def _combine(win: Window, a: _Family, coeffs: np.ndarray,
     return _family(clab, chunks)
 
 
+# -- single-entry families, row by row ---------------------------------------
+
+
+class _Units(NamedTuple):
+    """A family of ``size`` vectors with one entry each, the zero vector
+    with none: the positions of the nonzero vectors, their indices and
+    their values."""
+
+    size: int
+    col: np.ndarray
+    key: list
+    val: np.ndarray
+
+    def at(self):
+        """The position in ``key`` of each index, or None when two vectors
+        share one."""
+        at = dict(zip(self.key, range(len(self.key))))
+        return at if len(at) == len(self.key) else None
+
+
+def _units(*families):
+    """Each family as ``_Units``, or None as soon as some vector has two or
+    more entries."""
+    out = []
+    for family in families:
+        col, key, val = [], [], []
+        for j, v in enumerate(family):
+            entries = v._entries
+            if len(entries) > 1:
+                return None
+            for k, x in entries.items():
+                col.append(j)
+                key.append(k)
+                val.append(x)
+        out.append(_Units(len(family), np.array(col, dtype=np.intp), key,
+                          np.array(val, dtype=complex)))
+    return out
+
+
+def _unit_vectors(u: _Units, prune: float = PRUNE_TOL) -> list[HVector]:
+    """The vectors of ``u`` (columns ascending), entries at or below
+    ``prune`` in modulus dropped."""
+    keep = np.abs(u.val) > prune
+    return _vectors(u.size, u.col[keep],
+                    [k for k, b in zip(u.key, keep.tolist()) if b],
+                    u.val[keep].tolist())
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as numpy's matmul loops round a one-term
+    product: each real product on its own, the sums begun at +0.  The
+    complex multiply ufunc may fuse a product into the sum instead."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag + 0.0
+    out.imag = a.real * b.imag + a.imag * b.real + 0.0
+    return out
+
+
+def _unit_sweep(a: _Units, wall=()) -> list[HVector]:
+    """``_sweep`` on one-row components: on each index outside ``wall``
+    the first vector whose norm reaches the drop threshold, normalized
+    twice, in input order."""
+    norm = _norm(a.val[:, None, None])
+    taken = set(wall)
+    keep = []
+    for i, (k, ok) in enumerate(zip(a.key, (norm >= ORTHO_DROP_TOL).tolist())):
+        if ok and k not in taken:
+            taken.add(k)
+            keep.append(i)
+    x = a.val[keep][:, None, None] / norm[keep][:, None, None]
+    x /= _norm(x)[:, None, None]
+    return _unit_vectors(_Units(len(keep), np.arange(len(keep)),
+                                [a.key[i] for i in keep], x[:, 0, 0]))
+
+
+def _unit_span(a: _Units) -> list[HVector]:
+    """``_span`` on one-row components, one vector per index: the unit
+    vectors, in index order, of the indices whose value clears the rank
+    cutoff."""
+    s = np.sqrt(a.val.real ** 2 + a.val.imag ** 2)
+    cutoff = max(SPAN_RANK_TOL, float(s.max(initial=0.0)) * SPAN_RANK_TOL)
+    keys = sorted(k for k, big in zip(a.key, (s > cutoff).tolist()) if big)
+    return _vectors(len(keys), np.arange(len(keys)), keys, [1 + 0j] * len(keys))
+
+
+def _unit_partners(a: _Units, at: dict, q: _Units):
+    """Positions of the vectors of ``a`` whose index carries a vector of
+    ``q`` (``at`` its positions by index), and the values of those."""
+    hit = [i for i, k in enumerate(a.key) if k in at]
+    return hit, q.val[[at[a.key[i]] for i in hit]]
+
+
+def _unit_residual(a: _Units, at: dict, q: _Units) -> np.ndarray:
+    """``_project_out`` on one-row components: the values of ``a`` minus
+    their projections onto ``q``, two passes."""
+    hit, b = _unit_partners(a, at, q)
+    x = a.val.copy()
+    y = x[hit]
+    for _ in range(2):
+        y = y - _times(b, _times(b.conj(), y))
+    x[hit] = y
+    return x
+
+
+def _unit_nullspace(a: _Units, x: np.ndarray) -> np.ndarray:
+    """``_nullspace`` of one-by-one blocks: the vectors of ``a``, with
+    values ``x``, one per index.  A value at or below the cutoff, and a
+    zero vector, is a free direction of its own."""
+    s = np.abs(x)
+    cutoff = max(NULLSPACE_ATOL, float(s.max(initial=0.0)) * NULLSPACE_RTOL)
+    null = np.ones(a.size, dtype=bool)
+    null[a.col] = ~(s > cutoff)
+    # the SVD path conjugates its unit right singular vectors: 1 - 0j
+    value = np.ones(a.size, dtype=complex)
+    value[a.col] = value[a.col].conj()
+    cols = np.flatnonzero(null)
+    out = np.zeros((a.size, cols.size), dtype=complex)
+    out[cols, np.arange(cols.size)] = value[cols]
+    return out
+
+
+def _unit_overlaps(a: _Units, cutoff: float):
+    """``overlap_suspects`` of single-entry vectors: only vectors on one
+    index overlap."""
+    members = {}
+    for i, k in enumerate(a.key):
+        members.setdefault(k, []).append(i)
+    pi, pj = np.array([(i, j) for group in members.values()
+                       for n, i in enumerate(group) for j in group[:n]],
+                      dtype=np.intp).reshape(-1, 2).T
+    big = np.abs(_times(a.val[pi].conj(), a.val[pj])) > cutoff
+    found_i, found_j = a.col[pi[big]], a.col[pj[big]]
+    order = np.lexsort((found_j, found_i))
+    return found_i[order], found_j[order]
+
+
 def mgs(vectors) -> list[HVector]:
     """Orthonormal basis of the span, in input order."""
     vectors = list(vectors)
+    units = _units(vectors)
+    if units is not None:
+        return _unit_sweep(*units)
     win = Window(vectors)
     return win.vectors(_sweep(win, _no_columns(), *win.families))
 
@@ -475,6 +622,9 @@ def orthonormal_span(vectors) -> list[HVector]:
     order stays canonical.
     """
     vectors = list(vectors)
+    units = _units(vectors)
+    if units is not None and units[0].at() is not None:
+        return _unit_span(*units)
     win = Window(vectors)
     return win.vectors(_span(win, *win.families), prune=0.0)
 
@@ -487,6 +637,10 @@ def complement_basis(candidates, constraints) -> list[HVector]:
     """
     candidates = list(candidates)
     wall = orthonormal_span(constraints)
+    units = _units(candidates, wall)
+    if units is not None:
+        a, q = units
+        return _unit_sweep(a, q.key)
     win = Window(candidates, wall)
     a, q = win.families
     return win.vectors(_sweep(win, q, a))
@@ -496,6 +650,10 @@ def orthogonal_residual(vectors, basis) -> list[HVector]:
     """Each vector minus its projection onto an orthonormal family, two
     classical Gram-Schmidt passes."""
     vectors, basis = list(vectors), list(basis)
+    units = _units(vectors, basis)
+    if units is not None and (at := units[1].at()) is not None:
+        a, q = units
+        return _unit_vectors(a._replace(val=_unit_residual(a, at, q)))
     win = Window(vectors, basis)
     return win.vectors(_project_out(win, *win.families))
 
@@ -503,6 +661,12 @@ def orthogonal_residual(vectors, basis) -> list[HVector]:
 def project(vectors, basis) -> list[HVector]:
     """Orthogonal projection of each vector onto an orthonormal family."""
     vectors, basis = list(vectors), list(basis)
+    units = _units(vectors, basis)
+    if units is not None and (at := units[1].at()) is not None:
+        a, q = units
+        hit, b = _unit_partners(a, at, q)
+        return _unit_vectors(_Units(a.size, a.col[hit], [a.key[i] for i in hit],
+                                    _times(b, _times(b.conj(), a.val[hit]))))
     win = Window(vectors, basis)
     return win.vectors(_project(win, *win.families))
 
@@ -514,6 +678,11 @@ def nullspace_combinations(vectors, basis=()) -> np.ndarray:
     combinations up to the numerical rank.  Each component of the joint
     support has its own SVD."""
     vectors, basis = list(vectors), list(basis)
+    units = _units(vectors, basis)
+    if units is not None and units[0].at() is not None \
+            and (at := units[1].at()) is not None:
+        a, q = units
+        return _unit_nullspace(a, _unit_residual(a, at, q) if basis else a.val)
     win = Window(vectors, basis)
     a, q = win.families
     if basis:
@@ -525,6 +694,17 @@ def combination_basis(coeffs: np.ndarray, vectors) -> list[HVector]:
     """Orthonormal basis, swept in order, of the combinations
     sum_i coeffs[i, k] * vectors[i], without building them as vectors."""
     vectors = list(vectors)
+    units = _units(vectors)
+    if units is not None and units[0].at() is not None:
+        a, = units
+        pos = np.full(len(vectors), -1)
+        pos[a.col] = np.arange(a.col.size)
+        k, j = np.nonzero(coeffs.T)
+        i = pos[j]
+        k, j, i = k[i >= 0], j[i >= 0], i[i >= 0]
+        if np.all(np.diff(k) > 0):  # no column mixes two vectors
+            return _unit_sweep(_Units(coeffs.shape[1], k, [a.key[t] for t in i],
+                                      _times(a.val[i], coeffs[j, k])))
     win = Window(vectors)
     a, = win.families
     labels, clab = win.join(a.label, coeffs)
@@ -578,6 +758,9 @@ def overlap_suspects(vectors, cutoff: float):
     rounding, as there.
     """
     vectors = list(vectors)
+    units = _units(vectors)
+    if units is not None:
+        return _unit_overlaps(*units, cutoff)
     win = Window(vectors)
     a, = win.families
     found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]

@@ -277,9 +277,21 @@ def _emit(report, fmt: str, output: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _bind_vector(argv: list[str]) -> list[str]:
+    """``--vector X`` as ``--vector=X``: the token after ``--vector`` is its
+    value even when it starts with "-", as a literal with a negative lane
+    does, which argparse would otherwise read as an option."""
+    argv = list(argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--vector":
+            argv[i:i + 2] = [f"--vector={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _bind_vector(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which would read as "undecided"
         return INVALID if exc.code else OK

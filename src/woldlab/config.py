@@ -94,6 +94,15 @@ EXACT_PHASE_TOL = 1e-12
 DEFAULT_DEPTH = 64
 DEFAULT_HORIZON = 64
 
+# Largest number of indices a window (``window_indices``) may hold.  Window
+# analyses keep dense arrays with a row per window index: the nullspace
+# coefficients behind ``intersect_spans`` have up to rows x rows complex
+# entries, 256 MiB at this bound, where an unbounded depth ends in numpy's
+# memory error (pair_grid at depth 100000 asks for 596 GiB).  Every catalog
+# entry stays inside it up to depth 1024 (the largest window there,
+# bilateral_plus_shift's, has 3073 indices); pair_grid reaches it at 2048.
+MAX_WINDOW = 4096
+
 # Largest horizon ``is_wandering`` and ``is_strongly_wandering`` accept.  The
 # tests keep the orbit vectors (up to 2h + dip + 3 forward, h + 1 backward)
 # and, for the strong test, an index from basis indices to the vectors

@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .certificates import Certificate, false_certificate, true_certificate
 from .config import (
+    MAX_WINDOW,
     PRUNE_TOL,
     SUBSPACE_ORTHONORMAL_TOL,
     TAIL_PHASE_TOL,
@@ -84,13 +85,13 @@ class LaneSpec:
             return position >= 0
         return True
 
-    def window_positions(self, n: int) -> list[int]:
+    def window_positions(self, n: int) -> range:
         """Canonical window: naturals 0..n-1, integers -n..n, finite all."""
         if self.kind == FINITE:
-            return list(range(self.size))
+            return range(self.size)
         if self.kind == NATURALS:
-            return list(range(n))
-        return list(range(-n, n + 1))
+            return range(n)
+        return range(-n, n + 1)
 
 
 class BasisIndex(NamedTuple):
@@ -392,10 +393,16 @@ class StructuredIsometry:
         return self.has_lane(idx.lane) and self.lane(idx.lane).contains(idx.position)
 
     def window_indices(self, n: int) -> list[BasisIndex]:
-        out = []
-        for lane in self.lanes:
-            out.extend(BasisIndex(lane.lane_id, p) for p in lane.window_positions(n))
-        return out
+        """The canonical window of depth n, lane by lane; refused, before
+        it is built, when it would hold more than ``MAX_WINDOW`` indices."""
+        lanes = [(lane.lane_id, lane.window_positions(n)) for lane in self.lanes]
+        size = sum(len(positions) for _, positions in lanes)
+        if size > MAX_WINDOW:
+            raise MalformedInputError(
+                f"the window of depth {n} holds {size} indices, more than "
+                f"the {MAX_WINDOW} allowed")
+        return [BasisIndex(lane_id, p) for lane_id, positions in lanes
+                for p in positions]
 
     def core_radius(self) -> int:
         """Bound on |position| of everything explicit: column sources, column

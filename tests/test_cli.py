@@ -6,12 +6,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import operator_texts, spectral_texts, vector_literals
-from woldlab import cli, wold
+from woldlab import catalog, cli, wold
+from woldlab.config import MAX_WINDOW
 
 
 def run_cli(capsys, *args):
@@ -315,6 +317,38 @@ def test_wander_rejects_horizon_above_the_bound(capsys):
         assert err == "error: horizon must be at most 512, got 513\n"
 
 
+@pytest.mark.parametrize("command, name, depth, size", [
+    ("pair", "pair_grid", 100000, 200000), ("pair", "pair_grid", 4096, 8192),
+    ("wold", "bilateral_plus_shift", 2048, 6145)])
+def test_window_beyond_the_bound_is_refused(capsys, command, name, depth,
+                                            size):
+    """A window of more than MAX_WINDOW indices is refused before anything
+    window-sized is built; pair_grid at depth 100000 used to end in numpy's
+    memory error on a 200000 x 200000 coefficient matrix."""
+    code, out, err = run_cli(capsys, command, "--input", f"catalog:{name}",
+                             "--depth", str(depth))
+    assert (code, out) == (cli.INVALID, "")
+    assert err == (f"error: the window of depth {depth} holds {size} "
+                   f"indices, more than the {MAX_WINDOW} allowed\n")
+
+
+def test_every_catalog_window_fits_up_to_depth_1024():
+    """Computed, not run: every catalog operator's window at depth 1024 is
+    inside the bound, the largest dense coefficient matrix the bound admits
+    (rows x rows complex entries) stays at 256 MiB, and pair_grid at depth
+    4096, refused, would need 1 GiB."""
+    for entry in catalog.fixtures():
+        if entry.kind in ("operator", "pair"):
+            built = entry.build()
+            for op in built if entry.kind == "pair" else (built,):
+                assert len(op.window_indices(1024)) <= MAX_WINDOW
+    cell = np.dtype(complex).itemsize
+    assert MAX_WINDOW ** 2 * cell <= 2 ** 28
+    grid, _ = catalog.get("pair_grid").build()
+    rows = sum(len(lane.window_positions(4096)) for lane in grid.lanes)
+    assert rows > MAX_WINDOW and rows ** 2 * cell >= 2 ** 30
+
+
 @pytest.mark.parametrize("vector", [
     "0:0=1e300,0:1=1e300", "0:0=1e200", "0:0=inf", "0:0=nan",
     "0:0=1+nani", "0:0=1e308,0:0=1e308",
@@ -418,6 +452,20 @@ def test_malformed_description_fails_in_one_line(tmp_path, capsys, command,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal", ["-1:0=1", "--strong", "-h"])
+def test_vector_value_may_start_with_a_dash(capsys, literal):
+    """The token after --vector is its value, as in the = form: a negative
+    lane gets the one-line lane error, not argparse's usage text."""
+    spaced = run_cli(capsys, "wander", "--input", "catalog:shift",
+                     "--vector", literal)
+    joined = run_cli(capsys, "wander", "--input", "catalog:shift",
+                     f"--vector={literal}")
+    assert spaced == joined
+    code, out, err = spaced
+    assert (code, out) == (cli.INVALID, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_tiny_lane_component_is_not_the_zero_vector(capsys):
     """A nonzero component of norm below the tolerance on its own lane does
     not make the strong test refuse the whole vector as zero."""
@@ -445,8 +493,7 @@ def test_every_error_is_one_stderr_line(query):
         if command == "wold":
             argv += ["--depth", "2"]
         if command == "wander":
-            # the = form, or argparse reads a literal led by "-" as an option
-            argv = [command, "--input", "catalog:shift", f"--vector={vector}",
+            argv = [command, "--input", "catalog:shift", "--vector", vector,
                     "--horizon", "2"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

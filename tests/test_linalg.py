@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import (
     combinations,
@@ -493,3 +495,99 @@ def test_window_components_match_connectivity(seed):
     # numbered in order of least members
     firsts = [int(np.flatnonzero(win.label == c)[0]) for c in range(win.count)]
     assert firsts == sorted(firsts)
+
+
+# -- single-entry families: the row path against the block path -----------------
+
+_POOL = [BasisIndex(lane, p) for lane in (0, 1) for p in (0, 1, 2)]
+_PHASES = [1, -1, 1j, -1j, complex(1, -0.0), complex(-1, -0.0),
+           complex(-0.0, 1), complex(-0.0, -1), np.exp(2j * np.pi / 3),
+           np.exp(-0.3j)]
+_SCALES = [1.0, 0.7, 3.0, 1e4, ORTHO_DROP_TOL,
+           np.nextafter(ORTHO_DROP_TOL, 0), np.nextafter(ORTHO_DROP_TOL, 1),
+           1.5 * PRUNE_TOL, np.nextafter(PRUNE_TOL, 1), 1e-7 ** 0.5]
+_values = st.one_of(
+    st.builds(lambda s, p: complex(s * p.real, s * p.imag),
+              st.sampled_from(_SCALES), st.sampled_from(_PHASES)),
+    st.complex_numbers(min_magnitude=1e-9, max_magnitude=1e3,
+                       allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _single_entry(draw, size=8, wide=True):
+    """Vectors with one entry on a small pool of indices, so indices
+    collide, zero vectors among them; with ``wide``, now and then one
+    vector with two entries, which sends every routine to the window."""
+    out = [HVector([(draw(st.sampled_from(_POOL)), draw(_values))])
+           if draw(st.integers(0, 5)) else HVector.zero()
+           for _ in range(draw(st.integers(0, size)))]
+    if wide and out and not draw(st.integers(0, 5)):
+        at = draw(st.integers(0, len(out) - 1))
+        out[at] = out[at] + HVector([(draw(st.sampled_from(_POOL)), 0.5)])
+    return out
+
+
+@st.composite
+def _combinations(draw):
+    """Single-entry vectors and coefficient columns over them, each with
+    one nonzero entry or none; now and then one that mixes two vectors."""
+    vectors = draw(_single_entry())
+    n = len(vectors)
+    coeffs = np.zeros((n, draw(st.integers(0, 6))), dtype=complex)
+    for k in range(coeffs.shape[1] if n else 0):
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+            coeffs[i, k] = draw(_values)
+    if coeffs.size and not draw(st.integers(0, 5)):
+        coeffs[:, draw(st.integers(0, coeffs.shape[1] - 1))] = 0.5
+    return coeffs, vectors
+
+
+def _bits(out):
+    """Every bit of a routine's output, signs of zeros included."""
+    if isinstance(out, tuple):
+        return tuple(_bits(part) for part in out)
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    return [[(idx, c.real.hex(), c.imag.hex()) for idx, c in v._entries.items()]
+            for v in out]
+
+
+_ROUTINES = {
+    "mgs": lambda d: (_linalg.mgs, d(_single_entry())),
+    "orthonormal_span": lambda d: (_linalg.orthonormal_span,
+                                   d(_single_entry())),
+    "complement_basis": lambda d: (_linalg.complement_basis,
+                                   d(_single_entry()), d(_single_entry(4))),
+    "orthogonal_residual": lambda d: (_linalg.orthogonal_residual,
+                                      d(_single_entry()), d(_single_entry(4))),
+    "project": lambda d: (_linalg.project, d(_single_entry()),
+                          d(_single_entry(4))),
+    "nullspace_combinations": lambda d: (_linalg.nullspace_combinations,
+                                         d(_single_entry())),
+    "nullspace_against_basis": lambda d: (_linalg.nullspace_combinations,
+                                          d(_single_entry()),
+                                          d(_single_entry(4))),
+    "combination_basis": lambda d: (_linalg.combination_basis,
+                                    *d(_combinations())),
+    "intersect_spans": lambda d: (_linalg.intersect_spans, d(_single_entry()),
+                                  d(_single_entry(4))),
+    "overlap_suspects": lambda d: (_linalg.overlap_suspects, d(_single_entry()),
+                                   d(st.sampled_from([0.0, 0.5e-6, 1.0, 9.0]))),
+}
+
+
+@pytest.mark.parametrize("name", _ROUTINES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_row_path_matches_block_path_bit_for_bit(name, data):
+    """Every public routine answers a family of single-entry vectors row by
+    row with the same bits as the component window, and falls back to the
+    window where the row rules do not hold (a vector with two entries,
+    basis vectors or nullspace inputs sharing an index, a coefficient
+    column mixing two vectors)."""
+    routine, *args = _ROUTINES[name](data.draw)
+    row = routine(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_linalg, "_units", lambda *families: None)
+        block = routine(*args)
+    assert _bits(row) == _bits(block)
