@@ -71,15 +71,13 @@ H0_MEMBERSHIP_TOL = 1e-6
 # two applications carry along.
 H0_UNITARY_TOL = 1e-8
 
-# Largest ||c| - 1| of the single coefficient of a basis vector that
-# ``pairs`` still counts as a plain basis vector when it checks whether a
-# basis is a union of whole finite lanes.
-LANE_COVER_TOL = 1e-9
-
-# Largest ||c| - 1| of the single coefficient of a kernel generator that
-# ``wold.minimal_unitary_extension`` still counts as a plain basis vector,
-# so that its lane may be widened to an integer lane.
-WIDENING_TOL = 1e-9
+# Largest ||c| - 1| of the single coefficient c of a vector that still
+# counts as a plain basis vector (``HVector.plain_index``, the bound itself
+# included): ``pairs`` asks it of a peel's basis to see whether the peel is
+# a union of whole finite lanes, and ``wold.minimal_unitary_extension`` of
+# the kernel generators to see whether their lanes may be widened to
+# integer lanes.
+PLAIN_BASIS_TOL = 1e-9
 
 # Largest ||phase| - 1| a tail rule's phase may show and still count as
 # unimodular.  Near double rounding, so that phases given as turns pass but
@@ -93,6 +91,16 @@ EXACT_PHASE_TOL = 1e-12
 
 DEFAULT_DEPTH = 64
 DEFAULT_HORIZON = 64
+
+# Largest window depth at which ``pairs.is_completely_non_doubly_commuting``
+# looks for a nonzero unitary-type part of the pair decomposition: it bounds
+# the cost of that search whatever the report's depth, and the CNDC verdict
+# of every ``pair`` report depends on it.
+CNDC_DEPTH = 24
+
+# Largest horizon at which ``wold.wandering_span_decompose`` certifies the
+# window basis vectors as wandering; shallower windows use their depth.
+WANDERING_HORIZON_CAP = 32
 
 # Largest number of indices a window (``window_indices``) may hold.  Window
 # analyses keep dense arrays with a row per window index: the nullspace

@@ -26,11 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .certificates import Certificate, false_certificate, true_certificate
 from .config import (
     MAX_WINDOW,
+    PLAIN_BASIS_TOL,
     PRUNE_TOL,
     SUBSPACE_ORTHONORMAL_TOL,
     TAIL_PHASE_TOL,
@@ -93,6 +95,16 @@ class LaneSpec:
             return range(n)
         return range(-n, n + 1)
 
+    def below(self, threshold: int | None) -> range:
+        """Positions short of a tail threshold, where explicit columns sit:
+        all of a finite lane (it carries no tail), 0..t-1 on naturals and
+        -t+1..t-1 on integers."""
+        if self.kind == FINITE:
+            return range(self.size)
+        if self.kind == NATURALS:
+            return range(0, threshold)
+        return range(-threshold + 1, threshold)
+
 
 class BasisIndex(NamedTuple):
     # a NamedTuple so hashing and comparison run at tuple speed; orbit code
@@ -146,6 +158,15 @@ class HVector:
 
     def coefficient(self, idx: BasisIndex) -> complex:
         return self._entries.get(idx, 0j)
+
+    def plain_index(self) -> BasisIndex | None:
+        """The index of a plain basis vector: a single entry whose modulus
+        is within ``PLAIN_BASIS_TOL`` of 1, the bound itself included; None
+        for any other vector."""
+        if len(self._entries) != 1:
+            return None
+        (idx, c), = self._entries.items()
+        return idx if abs(abs(c) - 1.0) <= PLAIN_BASIS_TOL else None
 
     def is_zero(self, tol: float | None = None) -> bool:
         if tol is None:
@@ -404,34 +425,43 @@ class StructuredIsometry:
         return [BasisIndex(lane_id, p) for lane_id, positions in lanes
                 for p in positions]
 
+    @cached_property
+    def explicit_extent(self) -> tuple[int, int] | None:
+        """(lowest, highest) position of the explicit columns' sources and
+        supports; None without explicit columns."""
+        positions = []
+        for src, col in self.explicit_columns.items():
+            positions.append(src.position)
+            positions.extend(idx.position for idx in col._entries)
+        return (min(positions), max(positions)) if positions else None
+
     def core_radius(self) -> int:
         """Bound on |position| of everything explicit: column sources, column
         supports, thresholds and finite-lane extents."""
-        radius = 0
-        for lane in self.lanes:
-            if lane.is_finite:
-                radius = max(radius, lane.size)
-        for rule in self.tail_rules:
-            radius = max(radius, rule.threshold)
-        for src, col in self.explicit_columns.items():
-            radius = max(radius, abs(src.position))
-            for idx in col.support():
-                radius = max(radius, abs(idx.position))
-        return radius
+        lo, hi = self.explicit_extent or (0, 0)
+        return max([l.size for l in self.lanes if l.is_finite]
+                   + [r.threshold for r in self.tail_rules] + [-lo, hi])
 
     def max_offset(self) -> int:
         return max((abs(r.offset) for r in self.tail_rules), default=0)
 
-    def lane_cycle_drift(self) -> dict[int, int]:
+    @cached_property
+    def dip_bound(self) -> int:
+        """Sum of the rule offsets in absolute value: no tail trajectory
+        ever falls more than this below a position it has passed."""
+        return sum(abs(r.offset) for r in self.tail_rules)
+
+    @cached_property
+    def cycle_drift(self) -> dict[int, int]:
         """Net offset of the rule-permutation cycle through each infinite lane.
 
         Positive drift means forward orbits through the lane move to +infinity.
+        Derived once per operator; callers share the dict and only read it.
         """
         drift: dict[int, int] = {}
-        seen: set[int] = set()
         for lane in self.infinite_lanes:
             start = lane.lane_id
-            if start in seen:
+            if start in drift:
                 continue
             cycle = [start]
             net = self._rule_by_source[start].offset
@@ -442,7 +472,6 @@ class StructuredIsometry:
                 current = self._rule_by_source[current].target_lane
             for member in cycle:
                 drift[member] = net
-                seen.add(member)
         return drift
 
     def tail_hit(self, idx: BasisIndex) -> bool:
@@ -481,32 +510,19 @@ class StructuredIsometry:
 
     # -- validation ---------------------------------------------------------
 
-    def _required_source_ranges(self) -> dict[int, range]:
-        """Positions that need an explicit column, per lane in id order: all
-        of a finite lane, and whatever its tail rule leaves uncovered on an
-        infinite one."""
-        ranges: dict[int, range] = {}
-        for lane in self.lanes:
-            if lane.is_finite:
-                ranges[lane.lane_id] = range(lane.size)
-                continue
-            rule = self._rule_by_source.get(lane.lane_id)
-            if rule is None:
-                continue  # reported by _validate
-            if lane.kind == NATURALS:
-                ranges[lane.lane_id] = range(0, rule.threshold)
-            else:
-                ranges[lane.lane_id] = range(-rule.threshold + 1, rule.threshold)
-        return ranges
-
     def _check_explicit_sources(self) -> None:
-        """The explicit columns must sit exactly on the required sources.
+        """The explicit columns must sit exactly on the required sources:
+        all of a finite lane, and whatever its tail rule leaves uncovered on
+        an infinite one (every infinite lane has a rule by now).
 
         Counted by range arithmetic instead of materializing the required
         set, so a huge tail threshold fails at once; the message lists at
         most ``_LISTED`` indices of each kind.
         """
-        ranges = self._required_source_ranges()
+        ranges = {lane.lane_id: lane.below(
+                      None if lane.is_finite
+                      else self._rule_by_source[lane.lane_id].threshold)
+                  for lane in self.lanes}
         got = self.explicit_columns
         extra = sorted(
             idx for idx in got
@@ -797,17 +813,10 @@ def compose(v: StructuredIsometry, w: StructuredIsometry,
             offset=rw.offset + rv.offset,
             phase=rw.phase * rv.phase,
         ))
+    thresholds = {r.source_lane: r.threshold for r in rules}
     columns: dict[BasisIndex, HVector] = {}
     for lane in w.lanes:
-        if lane.is_finite:
-            positions = range(lane.size)
-        else:
-            t = next(r.threshold for r in rules if r.source_lane == lane.lane_id)
-            if lane.kind == NATURALS:
-                positions = range(0, t)
-            else:
-                positions = range(-t + 1, t)
-        for p in positions:
+        for p in lane.below(thresholds.get(lane.lane_id)):
             idx = BasisIndex(lane.lane_id, p)
             columns[idx] = v.apply(w.column(idx))
     try:
@@ -828,14 +837,7 @@ def _semantic_difference(a: StructuredIsometry, b: StructuredIsometry,
             return BasisIndex(lane.lane_id, deep)
         explicit_bound[lane.lane_id] = deep
     for lane in a.lanes:
-        if lane.is_finite:
-            positions = range(lane.size)
-        elif lane.kind == NATURALS:
-            positions = range(0, explicit_bound[lane.lane_id])
-        else:
-            t = explicit_bound[lane.lane_id]
-            positions = range(-t + 1, t)
-        for p in positions:
+        for p in lane.below(explicit_bound.get(lane.lane_id)):
             idx = BasisIndex(lane.lane_id, p)
             if not a.column(idx).approx_equals(b.column(idx), tol):
                 return idx
@@ -852,10 +854,6 @@ def commutes(v: StructuredIsometry, w: StructuredIsometry,
     diff = _semantic_difference(vw, wv, tolerance())
     if diff is not None:
         return false_certificate(window, diff)
-    for idx in v.window_indices(min(window, 16)):
-        e = HVector([(idx, 1.0)])
-        if not vw.apply(e).approx_equals(wv.apply(e)):
-            return false_certificate(window, idx)
     return true_certificate(window, exact=True)
 
 

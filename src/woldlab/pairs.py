@@ -21,11 +21,11 @@ from .certificates import (
     undecided_certificate,
 )
 from .config import (
+    CNDC_DEPTH,
     DEFAULT_DEPTH,
     GENERATOR_ZERO_TOL,
     H0_MEMBERSHIP_TOL,
     H0_UNITARY_TOL,
-    LANE_COVER_TOL,
     PREIMAGE_RANK_TOL,
 )
 from .core import (
@@ -125,12 +125,8 @@ def _finite_lane_cover(op: StructuredIsometry, basis) -> set[int] | None:
     """Lane ids when the basis is exactly a union of whole finite lanes."""
     hit: dict[int, set[int]] = {}
     for g in basis:
-        supp = g.support()
-        if len(supp) != 1 or abs(abs(g.coefficient(supp[0])) - 1.0) > LANE_COVER_TOL:
-            return None
-        idx = supp[0]
-        lane = op.lane(idx.lane)
-        if not lane.is_finite:
+        idx = g.plain_index()
+        if idx is None or not op.lane(idx.lane).is_finite:
             return None
         hit.setdefault(idx.lane, set()).add(idx.position)
     for lane_id, positions in hit.items():
@@ -302,28 +298,29 @@ class PairReport:
     exact: bool
 
 
-def _shift_window_basis(op, wres, depth):
-    """Basis of H_s ∩ window: window combinations fixed by the orbit-sum
-    projection onto the shift part, that is, the intersection of the window
-    with the span of the (orthonormal) kernel orbit vectors."""
-    window = [HVector([(idx, 1.0)]) for idx in op.window_indices(depth)]
-    return _linalg.intersect_spans(window, wres.orbit_vectors)
+def _unitary_type_parts(v1, v2, depth):
+    """Both Wold decompositions, the window units, and the window bases of
+    the three unitary-type parts: both unitary, V1 unitary with V2 a shift,
+    and V1 a shift with V2 unitary.
+
+    The shift part's window basis is H_s ∩ window: the window combinations
+    lying in the span of the (orthonormal) kernel orbit vectors."""
+    w1 = wold.wold_decompose(v1, depth)
+    w2 = wold.wold_decompose(v2, depth)
+    window = [HVector([(idx, 1.0)]) for idx in v1.window_indices(depth)]
+    u1 = list(w1.unitary_window_basis)
+    u2 = list(w2.unitary_window_basis)
+    s1 = _linalg.intersect_spans(window, w1.orbit_vectors)
+    s2 = _linalg.intersect_spans(window, w2.orbit_vectors)
+    parts = (_linalg.intersect_spans(u1, u2), _linalg.intersect_spans(u1, s2),
+             _linalg.intersect_spans(s1, u2))
+    return w1, w2, window, parts
 
 
 def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
                    depth: int = DEFAULT_DEPTH) -> PairReport:
     _require_commuting(v1, v2, depth)
-    w1 = wold.wold_decompose(v1, depth)
-    w2 = wold.wold_decompose(v2, depth)
-    u1 = list(w1.unitary_window_basis)
-    u2 = list(w2.unitary_window_basis)
-    s1 = _shift_window_basis(v1, w1, depth)
-    s2 = _shift_window_basis(v2, w2, depth)
-
-    uu = _linalg.intersect_spans(u1, u2)
-    us = _linalg.intersect_spans(u1, s2)
-    su = _linalg.intersect_spans(s1, u2)
-    window = [HVector([(idx, 1.0)]) for idx in v1.window_indices(depth)]
+    w1, w2, window, (uu, us, su) = _unitary_type_parts(v1, v2, depth)
     ws = _linalg.complement_basis(window, uu + us + su)
 
     exact = w1.exact and w2.exact
@@ -394,9 +391,9 @@ def is_completely_non_doubly_commuting(v1: StructuredIsometry,
     whole = doubly_commutes(v1, v2, window)
     if whole.is_true:
         return false_certificate(window, ("subspace", "whole space"))
-    report = pair_decompose(v1, v2, depth=min(window, 24))
-    for label in ("uu", "us", "su"):
-        if getattr(report, label).dim > 0:
+    *_, parts = _unitary_type_parts(v1, v2, min(window, CNDC_DEPTH))
+    for label, basis in zip(("uu", "us", "su"), parts):
+        if basis:
             return false_certificate(window, ("subspace", label))
     component = _doubly_commuting_component(v1, v2, window)
     if component is not None:

@@ -34,7 +34,7 @@ from .config import (
     MAX_HORIZON,
     PRUNE_TOL,
     REDUCING_TOL_FLOOR,
-    WIDENING_TOL,
+    WANDERING_HORIZON_CAP,
     tolerance,
 )
 from .core import (
@@ -65,10 +65,10 @@ class OrbitRecord:
     structural certificate classifying its eventual behaviour.
 
     A record returned by ``forward_orbit`` or ``backward_orbit`` grows on
-    demand (``reach``, ``extend``).  Its status is that of the vectors it
-    holds so far, and once it leaves OPEN it never changes, so a record
-    grown to more steps holds the same vectors, status and onset as an
-    orbit of that many steps computed afresh.
+    demand (``reach``, ``extend``, ``settle``).  Its status is that of the
+    vectors it holds so far, and once it leaves OPEN it never changes, so a
+    record grown to more steps holds the same vectors, status and onset as
+    an orbit of that many steps computed afresh.
     """
 
     vectors: list[HVector]
@@ -91,6 +91,14 @@ class OrbitRecord:
         self.reach(self.last_step(steps))
         return self
 
+    def settle(self, steps: int) -> str:
+        """Grow the record only until its status is fixed, at most to the
+        orbit of ``steps`` steps, and return the status that orbit has."""
+        for n in range(len(self.vectors), self.last_step(steps) + 1):
+            if self.status != OPEN or not self.reach(n):
+                break
+        return self.status
+
     def reach(self, n: int) -> bool:
         """Grow the record through T^n x; False if the orbit died first
         (it stays zero from there on, and callers pad)."""
@@ -100,17 +108,6 @@ class OrbitRecord:
                 return False
             growth.step(self)
         return True
-
-
-def _explicit_bounds(op: StructuredIsometry) -> tuple[int, int]:
-    """(lowest, highest) position touched by any explicit data."""
-    positions = []
-    for src, col in op.explicit_columns.items():
-        positions.append(src.position)
-        positions.extend(idx.position for idx in col.support())
-    if not positions:
-        return _INF, -_INF
-    return min(positions), max(positions)
 
 
 class _EscapeContext:
@@ -127,11 +124,11 @@ class _EscapeContext:
     def __init__(self, op: StructuredIsometry, ref_lo: int, ref_hi: int,
                  backward: bool):
         self.op = op
-        self.dip = sum(abs(r.offset) for r in op.tail_rules)
-        exp_lo, exp_hi = _explicit_bounds(op)
+        self.dip = op.dip_bound
+        exp_lo, exp_hi = op.explicit_extent or (_INF, -_INF)
         self.hi_bound = max(exp_hi, ref_hi)
         self.lo_bound = min(exp_lo, ref_lo)
-        self.drift = op.lane_cycle_drift()
+        self.drift = op.cycle_drift
         self.backward = backward
 
     def escaped(self, vector: HVector) -> bool:
@@ -320,14 +317,13 @@ def wold_decompose(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
         raise MalformedInputError("depth must be positive")
     kernel = kernel_of_adjoint(v).generators
     window = v.window_indices(depth)
+    candidates = [HVector([(idx, 1.0)]) for idx in window]
     if not kernel:
-        basis = [HVector([(idx, 1.0)]) for idx in window]
-        return WoldResult((), tuple(basis), depth, True)
+        return WoldResult((), tuple(candidates), depth, True)
     orbits = shift_orbit_vectors(v, kernel, depth,
                                  steps=max(depth, orbit_depth or 0))
     exact = all(o.status == ESCAPED for o in orbits)
     orbit_vectors = tuple(vec for o in orbits for vec in o.vectors)
-    candidates = [HVector([(idx, 1.0)]) for idx in window]
     unitary = _linalg.complement_basis(
         candidates, _window_projections(orbit_vectors, window))
     return WoldResult(tuple(kernel), tuple(unitary), depth, exact,
@@ -539,20 +535,15 @@ def _wandering_unitary_parts(v, orbit_vectors, depth):
     each certified vector w contributes w - P_{H_s} w.
     """
     window = v.window_indices(depth)
-    window_set = set(window)
-    horizon = min(depth, 32)
+    horizon = min(depth, WANDERING_HORIZON_CAP)
     certified = []
     for idx in window:
         b = HVector([(idx, 1.0)])
         cert = is_wandering(v, b, horizon)
         if cert.is_true and cert.exact:
             certified.append(b)
-    parts = []
-    for u in _linalg.orthogonal_residual(certified, orbit_vectors):
-        u = u.restricted_to(window_set)
-        if not u.is_zero():
-            parts.append(u)
-    return parts
+    return _window_projections(
+        _linalg.orthogonal_residual(certified, orbit_vectors), window)
 
 
 def wandering_span_decompose(v: StructuredIsometry,
@@ -577,7 +568,7 @@ def wandering_span_decompose(v: StructuredIsometry,
     hw_basis = _linalg.mgs(shift_window + span_u)
 
     residual_recurrent = all(
-        forward_orbit(v, g, depth).status in (PERIODIC, DIED)
+        forward_orbit(v, g).settle(depth) in (PERIODIC, DIED)
         for g in h0_basis
     )
     exact = wres.exact and residual_recurrent
@@ -691,13 +682,11 @@ def minimal_unitary_extension(v: StructuredIsometry,
 
     widenable: set[int] | None = set()
     for w in kernel:
-        supp = w.support()
-        if len(supp) == 1 and abs(abs(w.coefficient(supp[0])) - 1.0) < WIDENING_TOL \
-                and _is_pure_tail_kernel_lane(v, supp[0].lane):
-            widenable.add(supp[0].lane)
-        else:
+        idx = w.plain_index()
+        if idx is None or not _is_pure_tail_kernel_lane(v, idx.lane):
             widenable = None
             break
+        widenable.add(idx.lane)
     name = f"{v.name}~ext" if v.name else None
     if widenable is not None:
         lanes = []

@@ -1,9 +1,11 @@
 """Core types: construction invariants, exact application, adjoints,
 composition and commutation."""
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from oracle import DenseWindow
 from samples import NICE_COEFFS, random_hvector, random_structured_isometry
 from woldlab import catalog
+from woldlab.config import tolerance
 from woldlab.core import (
     BasisIndex,
     HVector,
@@ -324,6 +327,100 @@ def test_doubly_commutes_examples(bilateral):
 def test_doubly_commutes_requires_commuting(fixed_plus_shift):
     with pytest.raises(PreconditionError):
         doubly_commutes(fixed_plus_shift, _swap_f_with_e0())
+
+
+# -- commutation against the dense oracle --------------------------------------------
+
+
+def _reach(*ops) -> int:
+    """A bound on the positions the operators' explicit data touch plus
+    the distance their tails move a position."""
+    return (max([abs(i.position) for op in ops
+                 for src, col in op.explicit_columns.items()
+                 for i in (src, *col.support())]
+                + [r.threshold for op in ops for r in op.tail_rules]
+                + [l.size for op in ops for l in op.lanes if l.is_finite])
+            + sum(abs(r.offset) for op in ops for r in op.tail_rules))
+
+
+def _dense_differences(v, w, depth, products):
+    """Indices of the window of ``depth``, in sorted order, where the two
+    products of the dense V and W differ; the matrices live on a window
+    wide enough that no column of the products there loses an entry."""
+    big = depth + 2 * _reach(v, w) + 2
+    dv, dw = DenseWindow(v, big), DenseWindow(w, big)
+    assert dv.indices == dw.indices
+    lhs, rhs = products(dv.matrix, dw.matrix)
+    tol = tolerance()
+    return [idx for idx in sorted(v.window_indices(depth))
+            if np.linalg.norm(lhs[:, dv.slot[idx]] - rhs[:, dv.slot[idx]]) > tol]
+
+
+def _oracle_pairs(seed):
+    """v with itself, with its square, with v whose first tail phase is
+    negated, and with an unrelated operator on the same lanes."""
+    v = random_structured_isometry(seed)
+    yield v, v
+    yield v, compose(v, v)
+    if v.tail_rules:
+        first, *rest = v.tail_rules
+        flipped = dataclasses.replace(first, phase=-first.phase)
+        yield v, StructuredIsometry(v.lanes, v.explicit_columns,
+                                    [flipped, *rest])
+    w = random_structured_isometry(seed + 5000)
+    if w.same_lanes(v):
+        yield v, w
+
+
+def test_commutation_matches_dense_oracle():
+    """``commutes`` and ``doubly_commutes`` on random pairs, against VW and
+    WV (V*W and WV*) as dense matrices.
+
+    A symbolic witness (lane, p) says the tails differ: the dense columns
+    differ deep in that lane, which is the first such lane, and at every
+    position from p on.  Otherwise the witness is the first index where the
+    dense columns differ, and none means the pair commutes.
+    """
+    seen = set()
+    for seed in range(60):
+        for v, w in _oracle_pairs(seed):
+            cert = commutes(v, w, 4)
+            depth = 2 * _reach(v, w) + 2
+            diff = _dense_differences(v, w, depth,
+                                      lambda a, b: (a @ b, b @ a))
+            deep = [l.lane_id for l in v.infinite_lanes
+                    if BasisIndex(l.lane_id, depth - 1) in diff]
+            if deep:
+                lane, pos = cert.witness
+                assert lane == deep[0], seed
+                assert all(BasisIndex(lane, p) in diff
+                           for p in range(pos, depth)), seed
+                seen.add("tails differ")
+            elif diff:
+                assert cert.witness == diff[0], seed
+                seen.add("columns differ")
+            else:
+                assert cert.is_true and cert.exact, seed
+            if not cert.is_true:
+                with pytest.raises(PreconditionError):
+                    doubly_commutes(v, w, 4)
+                continue
+            double = doubly_commutes(v, w, 4)
+            edge = double.horizon
+            diff = _dense_differences(
+                v, w, edge + 1, lambda a, b: (a.conj().T @ b, b @ a.conj().T))
+            inside = set(v.window_indices(edge))
+            want = next((i for i in diff if i in inside), None)
+            if want is None:
+                want = next((i for i in diff if i.position == edge), None)
+            if want is None:
+                assert double.is_true and double.exact, seed
+                seen.add("doubly commute")
+            else:
+                assert double.witness == want, seed
+                seen.add("do not doubly commute")
+    assert seen == {"tails differ", "columns differ", "doubly commute",
+                    "do not doubly commute"}
 
 
 # -- structural properties ---------------------------------------------------------

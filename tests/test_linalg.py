@@ -332,6 +332,35 @@ def test_gram_suspects_match_the_pair_loop(columns, seed):
     assert list(zip(rows.tolist(), cols.tolist())) == want
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_overlap_suspects_on_a_wide_component_match_the_pair_loop(seed):
+    """A support component with more columns than one Gram block (80 on 12
+    rows) goes through ``gram_suspects`` block by block; its pairs come
+    back under their input positions, interleaved with those of a small
+    component and of single-entry vectors, in row-major order."""
+    rng = np.random.default_rng(seed)
+    wide = [_random_vector(rng, _pool(1), 3) for _ in range(80)]
+    small = [_random_vector(rng, _pool(1, 2), 2) for _ in range(6)]
+    small = [HVector([(BasisIndex(5, i.position), c) for i, c in v.items()])
+             for v in small]
+    singles = [HVector([(BasisIndex(7, k), 1.0)]) for k in range(4)]
+    vectors = wide + small + singles
+    vectors = [vectors[i] for i in rng.permutation(len(vectors))]
+    overlaps = [[abs(vectors[j].inner(v)) for j in range(i)]
+                for i, v in enumerate(vectors)]
+    # in the widest gap between the middle nonzero overlaps, so rounding
+    # cannot move a pair across
+    values = np.sort([o for row in overlaps for o in row if o > 0])
+    middle = values[values.size // 4:3 * values.size // 4]
+    k = int(np.argmax(np.diff(middle)))
+    cutoff = float(middle[k] + middle[k + 1]) / 2
+    want = [(i, j) for i, row in enumerate(overlaps)
+            for j, o in enumerate(row) if o > cutoff]
+    assert len(want) > len(vectors)
+    rows, cols = _linalg.overlap_suspects(vectors, cutoff)
+    assert list(zip(rows.tolist(), cols.tolist())) == want
+
+
 # -- the component split ---------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from oracle import span_residual_norm
 from samples import catalog_pairs
 from woldlab import catalog, pairs, wold
 from woldlab.certificates import false_certificate, true_certificate
+from woldlab.config import CNDC_DEPTH
 from woldlab.core import (
     BasisIndex,
     Closure,
@@ -261,6 +262,22 @@ def test_ncdc_fixed_plus_shift(fixed_plus_shift):
     assert cert.witness == ("subspace", "uu")
 
 
+def test_ncdc_search_makes_no_reducing_check(monkeypatch, fixed_plus_shift):
+    """The search needs only the unitary-type parts of the pair
+    decomposition, not their reducing certificates."""
+    calls = []
+    check = wold.reducing_certificate
+    monkeypatch.setattr(wold, "reducing_certificate",
+                        lambda *a: calls.append(a) or check(*a))
+    cert = is_completely_non_doubly_commuting(
+        fixed_plus_shift, fixed_plus_shift, 24)
+    assert cert.witness == ("subspace", "uu")
+    cert = is_completely_non_doubly_commuting(
+        catalog.unilateral_shift(2), catalog.unilateral_shift(3), 24)
+    assert cert.is_true
+    assert calls == []
+
+
 # -- lane-component search against the 2^n subset scan ------------------------------
 
 
@@ -350,7 +367,7 @@ def _brute_force_lanes(v1, v2, window):
 def _brute_force_ncdc(v1, v2, window):
     if doubly_commutes(v1, v2, window).is_true:
         return false_certificate(window, ("subspace", "whole space"))
-    report = pair_decompose(v1, v2, depth=min(window, 24))
+    report = pair_decompose(v1, v2, depth=min(window, CNDC_DEPTH))
     for label in ("uu", "us", "su"):
         if getattr(report, label).dim > 0:
             return false_certificate(window, ("subspace", label))

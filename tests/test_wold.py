@@ -470,6 +470,23 @@ def test_wandering_span_h0_orthogonal_to_hw(fixed_plus_shift):
             assert abs(inner(g, h)) <= 1e-9
 
 
+def test_h0_orbits_stop_at_their_onset(monkeypatch):
+    """The recurrence test behind the exact verdict grows each H0
+    generator's orbit only until its status is fixed, not to the full
+    depth + dip + 2 steps."""
+    orbits = []
+    start = wold.forward_orbit
+    monkeypatch.setattr(wold, "forward_orbit",
+                        lambda *a, **k: orbits.append(start(*a, **k))
+                        or orbits[-1])
+    res = wandering_span_decompose(catalog.cycle_plus_shift(), 64)
+    assert res.exact and res.h0.dim == 2
+    h0 = [o for o in orbits
+          if any(o.vectors[0] is g for g in res.h0.generators)]
+    assert [(o.status, o.onset, len(o.vectors) - 1) for o in h0] == \
+        [("periodic", 2, 2)] * 2
+
+
 def test_wandering_span_invariant_under_commuting_isometry():
     """Hw is invariant for every isometry commuting with V (checked on an
     inner window), and hence H0 for its adjoint."""
