@@ -40,11 +40,6 @@ SPAN_RANK_TOL = 1e-12
 NULLSPACE_ATOL = 1e-8
 NULLSPACE_RTOL = 1e-10
 
-# Singular values of (P V V* P - I) on an adjoint-kernel iterate below this
-# count as zero when pulling a span back through an operator
-# (``pairs._preimage_under``): those directions lie in the range of V.
-PREIMAGE_RANK_TOL = 1e-8
-
 # Projections of shift-orbit vectors onto the wandering-span part whose norm
 # is at most this are dropped from the pair decomposition's wandering
 # generators.

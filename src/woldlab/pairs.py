@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _linalg, wold
 from .certificates import (
     Certificate,
@@ -26,7 +24,6 @@ from .config import (
     GENERATOR_ZERO_TOL,
     H0_MEMBERSHIP_TOL,
     H0_UNITARY_TOL,
-    PREIMAGE_RANK_TOL,
 )
 from .core import (
     Closure,
@@ -196,23 +193,18 @@ def _whole_window_subspace(op, depth) -> Subspace:
 def _preimage_under(op: StructuredIsometry, basis) -> list[HVector]:
     """Orthonormal basis of {x : op(x) ∈ span(basis)}.
 
-    Solves c = op op* c on the span (membership in the range) and pulls the
-    solutions back; exact small linear algebra since the spans are the
-    finite-dimensional adjoint-kernel iterates.
+    That set is op*(span(basis) ∩ ran op), and a combination sum_j c_j b_j
+    lies in ran op exactly when sum_j c_j (b_j - op op* b_j) = 0.  The
+    spans are the finite-dimensional adjoint-kernel iterates, so this is
+    exact small linear algebra.
     """
     if not basis:
         return []
-    k = len(basis)
     pulled = [op.apply_adjoint(b) for b in basis]
-    images = [op.apply(p) for p in pulled]
-    m = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        for i in range(k):
-            m[i, j] = images[j].inner(basis[i])
-    _, s, vh = np.linalg.svd(m - np.eye(k))
-    rank = int(np.sum(s > PREIMAGE_RANK_TOL))
+    residuals = [b - op.apply(p) for b, p in zip(basis, pulled)]
     # op* is linear: pull the combinations back through op* of the basis
-    return _linalg.combination_basis(vh[rank:].conj().T, pulled)
+    return _linalg.combination_basis(
+        _linalg.nullspace_combinations(residuals), pulled)
 
 
 def _joint_shift_core(inner_op: StructuredIsometry,

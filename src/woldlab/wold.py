@@ -177,8 +177,8 @@ class _OrbitGrowth:
         # signature -> [(step, norm)] of the vectors taken while OPEN
         self.seen: dict = {}
 
-    def note(self, record: OrbitRecord, v: HVector, norm: float) -> None:
-        self.seen.setdefault(_support_signature(v), []).append(
+    def note(self, record: OrbitRecord, signature, norm: float) -> None:
+        self.seen.setdefault(signature, []).append(
             (len(record.vectors) - 1, norm))
 
     def step(self, record: OrbitRecord) -> None:
@@ -195,14 +195,17 @@ class _OrbitGrowth:
             return
         if self.ctx.escaped(v):
             record.status, record.onset = ESCAPED, n
-        elif self.recurs(record, v, norm):
+            return
+        signature = _support_signature(v)
+        if self.recurs(record, v, signature, norm):
             record.status, record.onset = PERIODIC, n
         else:
-            self.note(record, v, norm)
+            self.note(record, signature, norm)
 
-    def recurs(self, record: OrbitRecord, v: HVector, norm: float) -> bool:
+    def recurs(self, record: OrbitRecord, v: HVector, signature,
+               norm: float) -> bool:
         size = 2 * len(v._entries)
-        for m, norm_m in self.seen.get(_support_signature(v), ()):
+        for m, norm_m in self.seen.get(signature, ()):
             if abs(norm - norm_m) > self.tol + _norm_gap_slack(size, norm,
                                                                 norm_m):
                 continue
@@ -243,7 +246,7 @@ def _orbit(op: StructuredIsometry, x: HVector, steps: int | None,
     if ctx.escaped(x):
         record.status, record.onset = ESCAPED, 0
     else:
-        growth.note(record, x, x.norm())
+        growth.note(record, _support_signature(x), x.norm())
     if steps is not None:
         record.extend(steps)
     return record
@@ -588,10 +591,13 @@ def wandering_span_decompose(v: StructuredIsometry,
 
 def reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificate:
     """Check P V = V P on an inner window (the margin keeps V from crossing
-    the window edge, which would only measure truncation)."""
+    the window edge, which would only measure truncation).  The zero
+    subspace reduces every operator."""
     tol = max(tolerance(), REDUCING_TOL_FLOOR)
     margin = v.max_offset() + 1
     inner_depth = max(depth - margin, 1)
+    if not basis:
+        return true_certificate(inner_depth, exact=False)
     indices = v.window_indices(inner_depth)
     units = [HVector([(idx, 1.0)]) for idx in indices]
     # P V e and P e for every unit e, from one window

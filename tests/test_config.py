@@ -1,5 +1,6 @@
 """Tolerance policy and certificate invariants."""
 
+import ast
 import io
 import re
 import tokenize
@@ -67,6 +68,25 @@ def test_tolerances_are_named_in_config():
                   if tok.type == tokenize.NUMBER
                   and re.fullmatch(r"[\d.]*[eE]-\d+", tok.string)]
     assert found == []
+
+
+def test_only_linalg_imports_numpy():
+    """One linear-algebra layer: ``_linalg`` is the only module of the
+    package that imports numpy."""
+    package = Path(woldlab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert all(entry.startswith("_linalg.py:") for entry in found)
+    assert found
 
 
 def test_certificate_invariants():

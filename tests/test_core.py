@@ -324,6 +324,25 @@ def test_doubly_commutes_examples(bilateral):
     assert doubly_commutes(v1, v2).is_true
 
 
+def test_doubly_commutes_needs_no_window(monkeypatch):
+    """The answer comes from ker V*, so a window far beyond ``MAX_WINDOW``
+    gives the verdict and witness of a shallow one, with its own horizon,
+    and no window is built."""
+    pairs = [catalog.grid_pair(), (S(2), S(3))]
+    shallow = [doubly_commutes(v1, v2, 64) for v1, v2 in pairs]
+
+    def refuse(self, n):
+        raise AssertionError(f"window of depth {n} built")
+
+    monkeypatch.setattr(StructuredIsometry, "window_indices", refuse)
+    for (v1, v2), want in zip(pairs, shallow):
+        deep = doubly_commutes(v1, v2, 10 ** 6)
+        assert (deep.verdict, deep.witness, deep.exact) == \
+            (want.verdict, want.witness, want.exact)
+        assert deep.horizon == 10 ** 6
+    assert [c.verdict for c in shallow] == ["true", "false"]
+
+
 def test_doubly_commutes_requires_commuting(fixed_plus_shift):
     with pytest.raises(PreconditionError):
         doubly_commutes(fixed_plus_shift, _swap_f_with_e0())

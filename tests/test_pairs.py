@@ -174,6 +174,37 @@ def test_weak_bishift_consistency_with_decomposition():
             assert verdict, name
 
 
+def test_preimage_keeps_only_the_part_in_the_range(shift):
+    """S x lies in span{(e0 + e1)/sqrt 2, e2} only for x in span{e1}: the
+    first vector is not in ran S, so pulling the span back through S* alone
+    would give span{e0, e1}."""
+    half = 0.5 ** 0.5
+    span = [HVector([(BasisIndex(0, 0), half), (BasisIndex(0, 1), half)]),
+            basis(0, 2)]
+    pre = pairs._preimage_under(shift, span)
+    assert len(pre) == 1
+    assert pre[0].support() == [BasisIndex(0, 1)]
+    assert abs(abs(pre[0].coefficient(BasisIndex(0, 1))) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, lead", [(3, BasisIndex(1, 0)),
+                                        (5, BasisIndex(0, 0)),
+                                        (6, BasisIndex(0, 0))])
+def test_weak_bishift_first_restriction_unitary(seed, lead):
+    """Pairs on which V1 restricted to the intersection of ker(V2* V1^i) is a
+    nonzero unitary: that space is V1-invariant, inside ker V2*, and its
+    first vector leads the witness."""
+    w, v = _random_commuting_pair(seed)
+    cert = weak_bishift_classify(v, w, 16)
+    assert cert.is_false
+    assert cert.witness == ("restriction_unitary", "v1", lead)
+    core, _ = pairs._joint_shift_core(v, w)
+    assert core and core[0].support()[0] == lead
+    for k in core:
+        assert w.apply_adjoint(k).norm() <= 1e-9
+        assert span_residual_norm(v.apply(k), core) <= 1e-9
+
+
 # -- pair decomposition --------------------------------------------------------------
 
 

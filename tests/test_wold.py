@@ -450,6 +450,19 @@ def test_wandering_span_fixed_plus_shift(fixed_plus_shift):
     assert res.reducing.is_true
 
 
+def test_zero_subspace_reduces_without_applying(monkeypatch, fixed_plus_shift):
+    """The empty basis reduces every operator: the check returns the inner
+    window's certificate before it builds or applies anything."""
+    applied = []
+    monkeypatch.setattr(StructuredIsometry, "apply",
+                        lambda self, x: applied.append(x))
+    cert = wold.reducing_certificate(fixed_plus_shift, [], 16)
+    margin = fixed_plus_shift.max_offset() + 1
+    assert (cert.verdict, cert.horizon, cert.exact) == ("true", 16 - margin,
+                                                        False)
+    assert applied == []
+
+
 def test_wandering_span_shift(shift):
     res = wandering_span_decompose(shift, 24)
     assert res.exact
