@@ -2,8 +2,10 @@
 working tree, on the same machine.
 
 Each query (``wold`` on ``bilateral_plus_shift`` and ``feeding_core``,
-``pair`` on ``pair_grid`` and ``pair_shifts_2_3``) runs at depths 64, 128,
-256 and 512 in a fresh interpreter with one BLAS thread.  The probe times
+``pair`` on ``pair_grid`` and ``pair_shifts_2_3`` at depths 64, 128, 256
+and 512; ``wander --strong`` of e_(1,0) on ``bilateral_plus_shift`` at
+horizons 64, 128, 256 and 512) runs in a fresh interpreter with one BLAS
+thread.  The probe times
 ``woldlab.cli.main`` alone (imports excluded) and reads the peak resident
 memory of its process.  Repeats alternate which tree runs first; the
 summary gives medians, the speed-up, and whether the reports are
@@ -32,23 +34,28 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = (64, 128, 256, 512)
+# (query, argv without the size, the option the size goes to)
 QUERIES = [
-    ("wold", "bilateral_plus_shift"),
-    ("wold", "feeding_core"),
-    ("pair", "pair_grid"),
-    ("pair", "pair_shifts_2_3"),
+    ("wold bilateral_plus_shift",
+     ["wold", "--input", "catalog:bilateral_plus_shift"], "depth"),
+    ("wold feeding_core", ["wold", "--input", "catalog:feeding_core"], "depth"),
+    ("pair pair_grid", ["pair", "--input", "catalog:pair_grid"], "depth"),
+    ("pair pair_shifts_2_3",
+     ["pair", "--input", "catalog:pair_shifts_2_3"], "depth"),
+    ("wander --strong bilateral_plus_shift 1:0=1",
+     ["wander", "--strong", "--input", "catalog:bilateral_plus_shift",
+      "--vector=1:0=1"], "horizon"),
 ]
-DEPTHS = (64, 128, 256, 512)
 # the depth-512 target of the roadmap's support-component item
 TARGET = {"depth": 512, "wall_s": 1.0,
           "queries": ["wold bilateral_plus_shift", "pair pair_grid"]}
 
-# runs in the child: argv = [command, input, depth]
+# runs in the child: argv = the command line without ``--format json``
 PROBE = r"""
 import contextlib, hashlib, io, json, resource, sys, time
 from woldlab import cli
-argv = [sys.argv[1], "--input", "catalog:" + sys.argv[2],
-        "--depth", sys.argv[3], "--format", "json"]
+argv = sys.argv[1:] + ["--format", "json"]
 out = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
@@ -73,13 +80,13 @@ def _export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _probe(tree: Path, command: str, name: str, depth: int) -> dict:
+def _probe(tree: Path, argv: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE, command, name,
-                           str(depth)], env=env, check=True,
-                          capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=600)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -108,25 +115,25 @@ def main(argv=None) -> int:
         for repeat in range(args.repeats):
             order = ["baseline", "change"] if repeat % 2 == 0 \
                 else ["change", "baseline"]
-            for command, name in QUERIES:
-                for depth in DEPTHS:
+            for query, argv, knob in QUERIES:
+                for size in SIZES:
                     for side in order:
-                        run = _probe(trees[side], command, name, depth)
-                        run.update(side=side, repeat=repeat,
-                                   query=f"{command} {name}", depth=depth)
+                        run = _probe(trees[side],
+                                     argv + [f"--{knob}", str(size)])
+                        run.update({"side": side, "repeat": repeat,
+                                    "query": query, knob: size})
                         runs.append(run)
-                        print(f"{side:8} {command} {name} {depth}: "
+                        print(f"{side:8} {query} {size}: "
                               f"{run['wall_s']:.3f} s "
                               f"{run['peak_rss_mb']:.1f} MB", file=sys.stderr)
 
     summary = []
-    for command, name in QUERIES:
-        for depth in DEPTHS:
-            query = f"{command} {name}"
+    for query, _, knob in QUERIES:
+        for size in SIZES:
             mine = {side: [r for r in runs if r["query"] == query
-                           and r["depth"] == depth and r["side"] == side]
+                           and r.get(knob) == size and r["side"] == side]
                     for side in ("baseline", "change")}
-            row = {"query": query, "depth": depth}
+            row = {"query": query, knob: size}
             for side, rs in mine.items():
                 row[f"{side}_wall_s"] = statistics.median(r["wall_s"] for r in rs)
                 row[f"{side}_peak_rss_mb"] = statistics.median(
@@ -139,7 +146,7 @@ def main(argv=None) -> int:
             summary.append(row)
 
     deep = {row["query"]: row for row in summary
-            if row["depth"] == TARGET["depth"]}
+            if row.get("depth") == TARGET["depth"]}
     result = {
         "script": "bench/depth_scan.py",
         "what": "wall time of woldlab.cli.main (imports excluded) and peak "
@@ -157,7 +164,8 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for row in summary:
-        print(f"{row['query']:28} {row['depth']:4}  "
+        size = row.get("depth", row.get("horizon"))
+        print(f"{row['query']:44} {size:4}  "
               f"{row['baseline_wall_s']:7.3f} -> {row['change_wall_s']:6.3f} s "
               f"({row['speedup']:5.1f}x)  {row['baseline_peak_rss_mb']:6.1f} -> "
               f"{row['change_peak_rss_mb']:6.1f} MB  "

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -50,6 +51,8 @@ NATURALS = "naturals"
 INTEGERS = "integers"
 
 _LANE_KINDS = (FINITE, NATURALS, INTEGERS)
+
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -350,6 +353,15 @@ def _listed(first, total: int) -> str:
     return text
 
 
+class IsometryDefect(NamedTuple):
+    """``bound`` >= ||V*V - I||, and ``width``: the most entries of an
+    explicit column and the most explicit columns sharing one index (at
+    least 1), which bounds the terms summed into one entry of V x or V* x."""
+
+    bound: float
+    width: int
+
+
 class StructuredIsometry:
     """An isometry given by explicit columns plus tail rules; see module doc.
 
@@ -406,9 +418,6 @@ class StructuredIsometry:
 
     def rule_from(self, lane_id: int) -> TailRule | None:
         return self._rule_by_source.get(lane_id)
-
-    def rule_into(self, lane_id: int) -> TailRule | None:
-        return self._rule_by_target.get(lane_id)
 
     def contains_index(self, idx: BasisIndex) -> bool:
         return self.has_lane(idx.lane) and self.lane(idx.lane).contains(idx.position)
@@ -473,6 +482,62 @@ class StructuredIsometry:
             for member in cycle:
                 drift[member] = net
         return drift
+
+    @cached_property
+    def isometry_defect(self) -> "IsometryDefect":
+        """A bound on ||V*V - I|| and the width of the explicit columns.
+
+        V*V is block diagonal: the Gram matrix G of the explicit columns,
+        and |phase|^2 for each tail rule, since tail images avoid the
+        explicit supports and each other.  G - I is Hermitian, so its norm
+        is at most its largest absolute row sum (Gershgorin), and only
+        columns sharing an index have a nonzero entry.  Each computed entry
+        is a sum of at most ``width`` products and is off by at most
+        (width + 2) eps times the product of the two column norms, which is
+        added to its row; a tail rule counts as a column with the one entry
+        ``phase``.  Twice the largest row is returned, which also covers
+        the rounding of the norms and of the row sums.  Derived once per
+        operator, on first use.
+        """
+        columns = self.explicit_columns
+        holders: dict[BasisIndex, list[BasisIndex]] = {}
+        for src, col in columns.items():
+            for idx in col._entries:
+                holders.setdefault(idx, []).append(src)
+        width = max([1] + [len(col._entries) for col in columns.values()]
+                    + [len(h) for h in holders.values()])
+        slack = (width + 2) * _EPS
+        norms = {src: col.norm() for src, col in columns.items()}
+        worst = 0.0
+        for src, col in columns.items():
+            row = 0.0
+            for other in {o for idx in col._entries for o in holders[idx]}:
+                entry = col.inner(columns[other]) - (other == src)
+                row += abs(entry) + slack * norms[src] * norms[other]
+            worst = max(worst, row)
+        for rule in self.tail_rules:
+            square = abs(rule.phase) ** 2
+            worst = max(worst, abs(square - 1.0) + slack * square)
+        return IsometryDefect(2 * worst, width)
+
+    @cached_property
+    def component_restrictions(self) -> dict[tuple[int, ...],
+                                             "StructuredIsometry | None"]:
+        """The connected components of the lane graph (see
+        ``lane_components``), each mapped to its restriction once
+        ``component_restriction`` has built it, else to None."""
+        return dict.fromkeys(self.lane_components())
+
+    def component_restriction(self, lanes: tuple[int, ...]
+                              ) -> "StructuredIsometry":
+        """``restricted_to_lanes`` for one of ``component_restrictions``,
+        built on first use and kept.  A restriction validates a new operator
+        at the working tolerance, which an operator built under a looser one
+        may fail, so no component is restricted before it is asked for."""
+        made = self.component_restrictions
+        if made[lanes] is None:
+            made[lanes] = self.restricted_to_lanes(lanes)
+        return made[lanes]
 
     def tail_hit(self, idx: BasisIndex) -> bool:
         """Whether some tail rule produces this basis index."""

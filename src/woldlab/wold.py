@@ -18,6 +18,7 @@ an undecided verdict) rather than being rounded up to theorems.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -401,6 +402,88 @@ def _scan_key(pair):
     return (max(abs(n), abs(m)), abs(n) + abs(m), -n, -m)
 
 
+def _dismissed_columns(fwd: OrbitRecord, cmax: float, horizon: int,
+                       tol: float) -> range:
+    """The forward columns k, from the onset o of the escaped forward record
+    on, up to the horizon, whose inner products with every column m < k a
+    bound B(k) proves to be at most ``tol``, as the scan would compute
+    them; ``cmax`` is the largest |<V^n x, x>| measured so far, n >= 1.
+    B increases with k, so the columns form a range.
+
+    Write f_t for the computed V^t x, a_t for the exact one, e_t for a
+    bound on ||f_t - a_t||, c(n) = <a_n, x>, and delta, W for the
+    operator's ``isometry_defect``.  Then, for m < k:
+
+    * <a_k, a_m> = <V*^m V^m a_(k-m), x>, and ||V*^m V^m - I|| <=
+      (1 + delta)^m - 1, so <a_k, a_m> is within
+      ||x||^2 ((1 + delta)^k - 1) of c(k - m);
+    * |c(n)| <= |computed <f_n, x>| + (S + 2) eps ||f_n|| ||x|| + e_n ||x||.
+      The computed value is among those behind ``cmax`` when f_n shares an
+      index with x, and exactly 0 otherwise, which includes every n >= o:
+      from the onset on, supports stay clear of x's reference positions;
+    * the computed <f_k, f_m> is within (S + 2) eps ||f_k|| ||f_m|| of the
+      exact one, which is within e_k ||f_m|| + ||a_k|| e_m of <a_k, a_m>.
+
+    S is the largest support among f_0 .. f_o, and no later column is
+    larger (past the onset V only moves indices), so no inner product sums
+    more than S terms, each off by a few eps.  One application
+    sums at most W products into an entry, which gives
+    ||fl(V f) - V f|| <= eta ||f|| with eta = (W + 2) eps sqrt(W (1 + delta))
+    before pruning, and pruning drops at most W |supp f| entries of
+    modulus at most ``PRUNE_TOL``.  With lambda = sqrt(1 + delta) >= ||V||,
+    e_0 = 0 and e_(t+1) <= lambda e_t + eta ||f_t|| + sqrt(W |supp f_t|)
+    PRUNE_TOL, summed over the built vectors up to e_o.  Past the onset
+    ||f_t|| <= Lambda^(t - o) ||f_o|| with Lambda = lambda + eta, so every
+    e_t with t <= k is at most E_k = Lambda^(k - o) (e_o + (k - o)
+    (eta F + sqrt(W S) PRUNE_TOL)), and every norm involved at most
+    N_k = F Lambda^k, F the largest norm among f_0 .. f_o.  Hence
+
+        B(k) = cmax + 2 (F^2 ((1 + delta)^k - 1)
+                         + 2 (S + 2) eps N_k^2 + 3 N_k E_k).
+
+    The factor 2 covers the rounding of the bound's own evaluation.  A
+    column padded with the last vector of an orbit that died at d is
+    bounded by B(d) <= B(k).  B is evaluated at the horizon, and only when
+    that fails is the last k with B(k) <= tol found by bisection.
+    """
+    onset = fwd.onset
+    defect, width = fwd._growth.ctx.op.isometry_defect
+    lam = math.sqrt(1.0 + defect)
+    eta = (width + 2) * _EPS * math.sqrt(width * (1.0 + defect))
+    prune = math.sqrt(width) * PRUNE_TOL
+    growth = lam + eta
+    err = 0.0
+    norm_max, size_max = 0.0, 0
+    for t, f in enumerate(fwd.vectors[:onset + 1]):
+        norm, size = f.norm(), len(f._entries)
+        norm_max, size_max = max(norm_max, norm), max(size_max, size)
+        if t < onset:
+            err = lam * err + eta * norm + prune * math.sqrt(size)
+    step = eta * norm_max + prune * math.sqrt(size_max)
+    log_defect = math.log1p(defect)
+    inner_slack = 2 * (size_max + 2) * _EPS
+
+    def bound(k: int) -> float:
+        try:
+            reach = norm_max * growth ** k
+            drift = growth ** (k - onset) * (err + (k - onset) * step)
+            return cmax + 2 * (norm_max ** 2 * math.expm1(k * log_defect)
+                               + inner_slack * reach ** 2 + 3 * reach * drift)
+        except OverflowError:  # far beyond any tolerance
+            return math.inf
+
+    if bound(horizon) <= tol:
+        return range(onset + 1, horizon + 1)
+    last, fails = onset, horizon
+    while fails - last > 1:
+        mid = (last + fails) // 2
+        if bound(mid) <= tol:
+            last = mid
+        else:
+            fails = mid
+    return range(onset + 1, last + 1)
+
+
 def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
                    tol: float):
     """First pair (n, m) in canonical order with |<V^n x, V^m x>| > tol, then
@@ -417,6 +500,16 @@ def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
     are measured with the sparse inner product in canonical order, which
     sorts by max(|n|, |m|) = j first, so the first violation found is the
     one the pair-by-pair loop over the whole table would report.
+
+    Past the onset o of an escaped forward orbit the forward columns that
+    ``_dismissed_columns`` names are not built: a bound proves that none of
+    their pairs with an earlier forward column can pass ``tol``.  Their
+    pairs with backward columns share no index: from the onset on the
+    forward trajectory stays beyond x's support and the explicit columns,
+    and every backward index is carried onto one of those by tail moves.
+    Should the scan go past those columns, the orbit is grown there, they
+    are entered in the index, and the scan goes on as before; no pair that
+    could pass ``tol`` goes unmeasured.
     """
     zero = HVector.zero()
     table = {0: fwd.vectors[0]}
@@ -432,15 +525,33 @@ def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
             held.append(k)
         return found
 
+    def forward(k: int) -> HVector:
+        return fwd.vectors[k] if fwd.reach(k) else fwd.vectors[-1]
+
     partners(0)
+    cmax = 0.0  # largest measured |<V^n x, x>|, n >= 1
+    skip = None  # forward columns past an escape that the bound dismisses
     for j in range(1, horizon + 1):
-        table[j] = fwd.vectors[j] if fwd.reach(j) else fwd.vectors[-1]
+        if skip is None and fwd.status != OPEN:
+            # the onset lies before j: columns up to j - 1 are built
+            skip = (_dismissed_columns(fwd, cmax, horizon, tol)
+                    if fwd.status == ESCAPED else range(0))
+        pairs = []
+        if skip is None or j not in skip:
+            if skip and j == skip.stop:
+                for k in skip:
+                    table[k] = forward(k)
+                    partners(k)
+            table[j] = forward(j)
+            pairs = [(j, m) for m in partners(j)]
         table[-j] = back.vectors[j] if back.reach(j) else zero
-        pairs = [(j, m) for m in partners(j)]
         pairs += [(n, -j) for n in partners(-j)]
         for n, m in sorted(pairs, key=_scan_key):
-            if abs(table[n].inner(table[m])) > tol:
+            value = abs(table[n].inner(table[m]))
+            if value > tol:
                 return (n, m)
+            if m == 0:
+                cmax = max(cmax, value)
     # the forward values must also cover the extended range used to reduce
     # mixed pairs <V^n x, V*^m x> = <V^(n+m) x, x>
     r = _first_return(fwd, horizon + 1, 2 * horizon, tol)
@@ -460,12 +571,13 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
     as the first pair in canonical order: small exponents first, forward
     pairs before adjoint ones (see ``_scan_key``).  Only pairs whose
     vectors share a basis index are measured, with the sparse inner
-    product; every other pair is exactly orthogonal (see
-    ``_first_overlap``).  A clean table is followed by the extended forward
-    range, tested only while the forward orbit has not escaped.  Exactness
-    additionally requires the backward orbit to die out within the
-    horizon, which reduces every untested mixed or backward pair to a
-    certified forward one or to zero.
+    product; every other pair is exactly orthogonal.  Once the forward
+    orbit has escaped, its later columns are built only where a bound on
+    their pairs fails (see ``_first_overlap``).  A clean table is followed
+    by the extended forward range, tested only while the forward orbit has
+    not escaped.  Exactness additionally requires the backward orbit to
+    die out within the horizon, which reduces every untested mixed or
+    backward pair to a certified forward one or to zero.
     """
     _check_wandering_input(x, horizon)
     tol = tolerance()
@@ -495,14 +607,14 @@ def _strong_exactness(v, x, horizon, fwd, back) -> bool:
     every untested backward or mixed pair into a certified forward one or a
     pairing with the zero vector.
     """
-    components = v.lane_components()
+    components = v.component_restrictions
     if len(components) > 1:
         for component in components:
             xc = x.restricted_to_lanes(component)
             # its overlaps are at most ||xc||^2 <= tol^2
             if xc.is_zero(tolerance()):
                 continue
-            vc = v.restricted_to_lanes(component)
+            vc = v.component_restriction(component)
             cert = is_strongly_wandering(vc, xc, horizon)
             if not (cert.is_true and cert.exact):
                 return False
@@ -534,14 +646,20 @@ class WanderingSpanResult:
 def _wandering_unitary_parts(v, orbit_vectors, depth):
     """Unitary components of certified wandering window vectors.
 
-    The search is generative: window basis vectors are certified one by one;
-    each certified vector w contributes w - P_{H_s} w.
+    The search is generative: each window basis vector w that is certified
+    wandering contributes w - P_{H_s} w.  A vector whose residual is zero
+    contributes nothing, so only the others are certified.  The parts are
+    the residuals of the certified vectors taken as one family, since the
+    last digits of a residual depend on the family it is computed in.
     """
     window = v.window_indices(depth)
     horizon = min(depth, WANDERING_HORIZON_CAP)
+    units = [HVector([(idx, 1.0)]) for idx in window]
     certified = []
-    for idx in window:
-        b = HVector([(idx, 1.0)])
+    for b, residual in zip(units,
+                           _linalg.orthogonal_residual(units, orbit_vectors)):
+        if residual.is_zero():
+            continue
         cert = is_wandering(v, b, horizon)
         if cert.is_true and cert.exact:
             certified.append(b)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracle import DenseWindow
 from samples import NICE_COEFFS, random_hvector, random_structured_isometry
-from woldlab import catalog
+from woldlab import catalog, wold
 from woldlab.config import tolerance
 from woldlab.core import (
     BasisIndex,
@@ -346,6 +346,105 @@ def test_doubly_commutes_needs_no_window(monkeypatch):
 def test_doubly_commutes_requires_commuting(fixed_plus_shift):
     with pytest.raises(PreconditionError):
         doubly_commutes(fixed_plus_shift, _swap_f_with_e0())
+
+
+def _conjugated_pair(images):
+    """U V U* and U W U* for V = S + S and W = I + S on two naturals lanes:
+    U maps e_(0,0), e_(1,0), e_(0,1), e_(1,1) to the four orthonormal
+    ``images`` (vectors on those indices) and fixes every other basis
+    vector.  The pair commutes, ker V* is U span{e_(0,0), e_(1,0)}, and
+    V*W maps U e_(0,0) to 0 and U e_(1,0) to itself."""
+    block = [BasisIndex(0, 0), BasisIndex(1, 0),
+             BasisIndex(0, 1), BasisIndex(1, 1)]
+    images = dict(zip(block, images))
+    lanes = [LaneSpec(0, "naturals"), LaneSpec(1, "naturals")]
+
+    def u(x):
+        out = HVector([(i, c) for i, c in x.items() if i not in images])
+        for i, c in x.items():
+            if i in images:
+                out = out + images[i].scaled(c)
+        return out
+
+    def u_star(x):
+        out = HVector([(i, c) for i, c in x.items() if i not in images])
+        return out + HVector([(i, x.inner(img)) for i, img in images.items()])
+
+    def conjugated(offsets):
+        plain = StructuredIsometry(lanes, {}, [
+            TailRule(lane, 0, lane, offset) for lane, offset in enumerate(offsets)])
+        columns = {i: u(plain.apply(u_star(HVector([(i, 1.0)]))))
+                   for i in block}
+        return StructuredIsometry(lanes, columns, [
+            TailRule(lane, 2, lane, offset) for lane, offset in enumerate(offsets)])
+
+    return conjugated((1, 1)), conjugated((0, 1))
+
+
+def _completed(vectors):
+    """The vectors followed by an orthonormal completion of their span
+    inside the span of e_(0,0), e_(0,1), e_(1,0), e_(1,1)."""
+    out = list(vectors)
+    for lane, pos in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        r = basis(lane, pos)
+        for b in out:
+            r = r - b.scaled(r.inner(b))
+        if r.norm() > 0.1:
+            out.append(r.scaled(1 / r.norm()))
+    return out
+
+
+def _dense_double_witness(v, w, window):
+    """First index of the window where V*W and WV* differ as dense
+    matrices, or None."""
+    diff = _dense_differences(
+        v, w, window, lambda a, b: (a.conj().T @ b, b @ a.conj().T))
+    return diff[0] if diff else None
+
+
+def test_doubly_commutes_reports_the_first_index_in_order():
+    """ker V* has the basis k1 = (e_(0,0) + e_(1,0) + e_(1,1)) / sqrt 3 and
+    k2 = (sqrt 2 e_(0,1) + e_(1,0) - e_(1,1)) / 2, and V*W k1 = 0, so the
+    defect vanishes at e_(0,0) and fails on the support of k2.  The first
+    failing index in order is e_(0,1), which k2 brings in after k1 has
+    brought in e_(1,0) and e_(1,1)."""
+    k1 = HVector([(BasisIndex(0, 0), 1), (BasisIndex(1, 0), 1),
+                  (BasisIndex(1, 1), 1)]).scaled(1 / math.sqrt(3))
+    k2 = HVector([(BasisIndex(0, 1), math.sqrt(2)), (BasisIndex(1, 0), 1),
+                  (BasisIndex(1, 1), -1)]).scaled(0.5)
+    v, w = _conjugated_pair(_completed([k1, k2]))
+    kernel = wold.kernel_of_adjoint(v).generators
+    assert [k.support() for k in kernel] == [k1.support(), k2.support()]
+    cert = doubly_commutes(v, w, 4)
+    assert cert.is_false and cert.witness == BasisIndex(0, 1)
+    assert cert.witness == _dense_double_witness(v, w, 4)
+
+
+def test_doubly_commutes_conjugates_the_kernel_entries(monkeypatch):
+    """Under a working tolerance of 0.05, ker V* has the complex basis
+    k1 = 0.1 e_(0,0) + 0.9i e_(0,1) + c e_(1,0) and k2 = d e_(0,1) + f e_(1,0),
+    and V*W projects onto q = b1 k1 + b2 k2 with q[e_(0,1)] = 0.  The defect
+    at an index e is conj(q[e]) q: |q[e_(0,0)]| is under the tolerance, so
+    the first failing index is e_(1,0).  Summed without the conjugates of
+    the kernel entries, the defect at e_(0,1) would be 0.77 q."""
+    monkeypatch.setenv("WOLDLAB_TOLERANCE", "0.05")
+    a, b = 0.1, 0.9j
+    c = math.sqrt(1 - a * a - abs(b) ** 2)
+    d = 1 / math.sqrt(1 + abs(b) ** 2 / c ** 2)
+    f = -d * b.conjugate() / c
+    k1 = HVector([(BasisIndex(0, 0), a), (BasisIndex(0, 1), b),
+                  (BasisIndex(1, 0), c)])
+    k2 = HVector([(BasisIndex(0, 1), d), (BasisIndex(1, 0), f)])
+    b1, b2 = 1.0, -b / d
+    scale = 1 / math.hypot(b1, abs(b2))
+    q = k1.scaled(b1 * scale) + k2.scaled(b2 * scale)
+    q_perp = k1.scaled(b2.conjugate() * scale) - k2.scaled(b1 * scale)
+    v, w = _conjugated_pair(_completed([q_perp, q]))
+    kernel = wold.kernel_of_adjoint(v).generators
+    assert all(x.approx_equals(y) for x, y in zip(kernel, (k1, k2)))
+    cert = doubly_commutes(v, w, 4)
+    assert cert.is_false and cert.witness == BasisIndex(1, 0)
+    assert cert.witness == _dense_double_witness(v, w, 4)
 
 
 # -- commutation against the dense oracle --------------------------------------------

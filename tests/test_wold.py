@@ -344,12 +344,14 @@ def test_lazy_scans_stop_at_the_answer(shift, fixed_plus_shift, bilateral):
     op = _counting(bilateral)
     assert is_strongly_wandering(op, basis(0, 0), 96).exact
     assert op.calls == {"apply": 2, "apply_adjoint": 0}
-    # a clean table needs V^40 x and V*^40 x, not the eager h + dip + 2
-    # backward steps; the forward orbit escaped before the extended range
+    # a clean table needs V*^40 x, not the eager h + dip + 2 backward
+    # steps; the forward orbit escapes at its third step, the bound
+    # dismisses every later forward column, and the extended range is
+    # never entered
     op = _counting(catalog.bilateral_plus_shift())
     cert = is_strongly_wandering(op, basis(0, 0), 40)
     assert cert.is_true and cert.exact
-    assert op.calls == {"apply": 40, "apply_adjoint": 40}
+    assert op.calls == {"apply": 3, "apply_adjoint": 40}
 
 
 def test_lazy_scans_on_long_lingering_orbits():
@@ -398,6 +400,91 @@ def test_lazy_scans_on_dead_forward_orbits(with_shift):
                 _strong_verdict(loop_wandering(op, x, horizon))
             assert _strong_verdict(is_strongly_wandering(op, x, horizon)) == \
                 _strong_verdict(loop_strongly_wandering(op, x, horizon))
+
+
+def test_escaped_scan_finds_a_backward_pair_past_the_onset():
+    """On bilateral_plus_shift, x = u + w with u = e_(1,20) + e_(1,21) / 2
+    on the shift lane and w = e_(0,20) - e_(0,21) / 2 on the bilateral one:
+    the two lag-1 autocorrelations cancel, so every forward and mixed pair
+    vanishes, but the backward pairs (-(a - 1), -a) lose the shift part
+    once V*^a truncates u.  The forward orbit escapes at step 4, long
+    before that shell, and is not grown past it."""
+    op = _counting(catalog.bilateral_plus_shift())
+    x = basis(1, 20) + basis(1, 21, 0.5) + basis(0, 20) + basis(0, 21, -0.5)
+    assert forward_orbit(op, x, 8).onset == 4
+    op.calls.update(apply=0, apply_adjoint=0)
+    got = is_strongly_wandering(op, x, 40)
+    assert got.witness == (-21, -22)
+    assert op.calls == {"apply": 4, "apply_adjoint": 22}
+    assert _strong_verdict(got) == \
+        _strong_verdict(loop_strongly_wandering(op, x, 40))
+
+
+def test_components_the_vector_misses_are_not_restricted():
+    """The clean table of e_(1,0) on _leaky_cycle(0.3, True) is certified
+    on the shift lane alone.  The cycle lane, which the vector misses, is
+    never restricted: its column of norm 0.3 would fail validation at the
+    working tolerance."""
+    op = _leaky_cycle(0.3, True)
+    got = is_strongly_wandering(op, basis(1, 0), 17)
+    assert got.is_true and got.exact
+    assert op.component_restrictions[(0,)] is None
+
+
+def _leaky_feed(factor: float) -> StructuredIsometry:
+    """A shift lane fed by a one-point lane whose column factor * e_(1,0)
+    has norm ``factor``, accepted by a loose validation tolerance; one
+    lane component, so no restriction is re-validated."""
+    return StructuredIsometry(
+        [LaneSpec(0, "finite", 1), LaneSpec(1, "naturals")],
+        {BasisIndex(0, 0): basis(1, 0, factor)}, [TailRule(1, 0, 1, 1)],
+        tol=0.8)
+
+
+@pytest.mark.parametrize("factor", [0.3, 0.99])
+@pytest.mark.parametrize("horizon", [17, 40])
+def test_large_isometry_defect_gets_no_cut(factor, horizon):
+    """With a column of norm 0.3 or 0.99, ||V*V - I|| is near 0.9 or 0.02,
+    so the bound on the forward pairs past an escape fails at once: the
+    escaping orbits of e_(1,0) and e_(1,4) are scanned as by the full
+    table, one forward step per exponent, with the verdict and exactness
+    of the pair loop."""
+    for x in (basis(1, 0), basis(1, 4)):
+        op = _counting(_leaky_feed(factor))
+        assert op.isometry_defect.bound > 1 - factor ** 2
+        got = is_strongly_wandering(op, x, horizon)
+        assert op.calls["apply"] == horizon
+        assert got.is_true and got.exact
+        assert _strong_verdict(got) == \
+            _strong_verdict(loop_strongly_wandering(op, x, horizon))
+
+
+def test_escaped_scans_match_the_pair_loop():
+    """Random structured isometries, vectors with Gaussian complex
+    coefficients (and their first entry alone, which is more often strongly
+    wandering), horizons 8 to 64: the scan reports the verdict, exactness
+    and witness of the pair-by-pair loop over full orbits, also where the
+    forward orbit escaped inside the horizon and its later columns were
+    passed over."""
+    cut = 0
+    for seed in range(80):
+        op = random_structured_isometry(seed)
+        if is_unitary(op):
+            continue
+        py = random.Random(seed)
+        x = HVector([(idx, c * complex(py.gauss(0, 1), py.gauss(0, 1)))
+                     for idx, c in random_hvector(op, 900 + seed, 5).items()])
+        if x.is_zero(tolerance()):
+            continue
+        for vec in (x, HVector([x.items()[0]])):
+            horizon = py.randint(8, 64)
+            counted = _counting(random_structured_isometry(seed))
+            got = is_strongly_wandering(counted, vec, horizon)
+            assert _strong_verdict(got) == \
+                _strong_verdict(loop_strongly_wandering(op, vec, horizon)), \
+                (seed, horizon)
+            cut += got.is_true and counted.calls["apply"] < horizon
+    assert cut >= 10
 
 
 def test_proof_identity_for_wandering_vectors():
