@@ -521,23 +521,26 @@ class StructuredIsometry:
         return IsometryDefect(2 * worst, width)
 
     @cached_property
-    def component_restrictions(self) -> dict[tuple[int, ...],
-                                             "StructuredIsometry | None"]:
+    def component_restrictions(self) -> dict[
+            tuple[int, ...], dict[float, "StructuredIsometry"]]:
         """The connected components of the lane graph (see
-        ``lane_components``), each mapped to its restriction once
-        ``component_restriction`` has built it, else to None."""
-        return dict.fromkeys(self.lane_components())
+        ``lane_components``), each mapped to the restrictions
+        ``component_restriction`` has built, by working tolerance."""
+        return {lanes: {} for lanes in self.lane_components()}
 
     def component_restriction(self, lanes: tuple[int, ...]
                               ) -> "StructuredIsometry":
         """``restricted_to_lanes`` for one of ``component_restrictions``,
-        built on first use and kept.  A restriction validates a new operator
-        at the working tolerance, which an operator built under a looser one
-        may fail, so no component is restricted before it is asked for."""
-        made = self.component_restrictions
-        if made[lanes] is None:
-            made[lanes] = self.restricted_to_lanes(lanes)
-        return made[lanes]
+        built on first use at each working tolerance and kept.  A
+        restriction validates a new operator at the working tolerance, so
+        one validated under a looser tolerance is not reused under a
+        tighter one; and an operator built under a looser one may fail it,
+        so no component is restricted before it is asked for."""
+        made = self.component_restrictions[lanes]
+        tol = tolerance()
+        if tol not in made:
+            made[tol] = self.restricted_to_lanes(lanes)
+        return made[tol]
 
     def tail_hit(self, idx: BasisIndex) -> bool:
         """Whether some tail rule produces this basis index."""

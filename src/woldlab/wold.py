@@ -19,7 +19,6 @@ an undecided verdict) rather than being rounded up to theorems.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from . import _linalg
@@ -48,6 +47,7 @@ from .core import (
     StructuredIsometry,
     Subspace,
     TailRule,
+    _EPS,
 )
 from .errors import MalformedInputError, PreconditionError
 
@@ -57,7 +57,6 @@ DIED = "died"
 OPEN = "open"
 
 _INF = 10 ** 18
-_EPS = sys.float_info.epsilon
 
 
 @dataclass
@@ -402,13 +401,13 @@ def _scan_key(pair):
     return (max(abs(n), abs(m)), abs(n) + abs(m), -n, -m)
 
 
-def _dismissed_columns(fwd: OrbitRecord, cmax: float, horizon: int,
-                       tol: float) -> range:
-    """The forward columns k, from the onset o of the escaped forward record
-    on, up to the horizon, whose inner products with every column m < k a
-    bound B(k) proves to be at most ``tol``, as the scan would compute
-    them; ``cmax`` is the largest |<V^n x, x>| measured so far, n >= 1.
-    B increases with k, so the columns form a range.
+def _escape_cut(v: StructuredIsometry, fwd: OrbitRecord, cmax: float,
+                horizon: int, tol: float) -> bool:
+    """Whether a bound B(k) proves, for every forward column k past the
+    onset o of the escaped forward record up to the horizon, that its inner
+    products with every column m < k are at most ``tol`` as the scan would
+    compute them; ``cmax`` is the largest |<V^n x, x>| measured so far,
+    n >= 1.  B increases with k, so it is evaluated at the horizon only.
 
     Write f_t for the computed V^t x, a_t for the exact one, e_t for a
     bound on ||f_t - a_t||, c(n) = <a_n, x>, and delta, W for the
@@ -443,11 +442,10 @@ def _dismissed_columns(fwd: OrbitRecord, cmax: float, horizon: int,
 
     The factor 2 covers the rounding of the bound's own evaluation.  A
     column padded with the last vector of an orbit that died at d is
-    bounded by B(d) <= B(k).  B is evaluated at the horizon, and only when
-    that fails is the last k with B(k) <= tol found by bisection.
+    bounded by B(d) <= B(k).
     """
     onset = fwd.onset
-    defect, width = fwd._growth.ctx.op.isometry_defect
+    defect, width = v.isometry_defect
     lam = math.sqrt(1.0 + defect)
     eta = (width + 2) * _EPS * math.sqrt(width * (1.0 + defect))
     prune = math.sqrt(width) * PRUNE_TOL
@@ -460,32 +458,20 @@ def _dismissed_columns(fwd: OrbitRecord, cmax: float, horizon: int,
         if t < onset:
             err = lam * err + eta * norm + prune * math.sqrt(size)
     step = eta * norm_max + prune * math.sqrt(size_max)
-    log_defect = math.log1p(defect)
     inner_slack = 2 * (size_max + 2) * _EPS
-
-    def bound(k: int) -> float:
-        try:
-            reach = norm_max * growth ** k
-            drift = growth ** (k - onset) * (err + (k - onset) * step)
-            return cmax + 2 * (norm_max ** 2 * math.expm1(k * log_defect)
-                               + inner_slack * reach ** 2 + 3 * reach * drift)
-        except OverflowError:  # far beyond any tolerance
-            return math.inf
-
-    if bound(horizon) <= tol:
-        return range(onset + 1, horizon + 1)
-    last, fails = onset, horizon
-    while fails - last > 1:
-        mid = (last + fails) // 2
-        if bound(mid) <= tol:
-            last = mid
-        else:
-            fails = mid
-    return range(onset + 1, last + 1)
+    try:
+        reach = norm_max * growth ** horizon
+        drift = growth ** (horizon - onset) * (err + (horizon - onset) * step)
+        defect_growth = math.expm1(horizon * math.log1p(defect))
+        bound = cmax + 2 * (norm_max ** 2 * defect_growth
+                            + inner_slack * reach ** 2 + 3 * reach * drift)
+    except OverflowError:  # far beyond any tolerance
+        return False
+    return bound <= tol
 
 
-def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
-                   tol: float):
+def _first_overlap(v: StructuredIsometry, horizon: int, fwd: OrbitRecord,
+                   back: OrbitRecord, tol: float):
     """First pair (n, m) in canonical order with |<V^n x, V^m x>| > tol, then
     the first (r, 0) with r > horizon in the extended forward range, or
     None.
@@ -501,15 +487,13 @@ def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
     sorts by max(|n|, |m|) = j first, so the first violation found is the
     one the pair-by-pair loop over the whole table would report.
 
-    Past the onset o of an escaped forward orbit the forward columns that
-    ``_dismissed_columns`` names are not built: a bound proves that none of
-    their pairs with an earlier forward column can pass ``tol``.  Their
-    pairs with backward columns share no index: from the onset on the
-    forward trajectory stays beyond x's support and the explicit columns,
-    and every backward index is carried onto one of those by tail moves.
-    Should the scan go past those columns, the orbit is grown there, they
-    are entered in the index, and the scan goes on as before; no pair that
-    could pass ``tol`` goes unmeasured.
+    Past the onset o of an escaped forward orbit the forward columns are
+    not built when ``_escape_cut`` proves that none of their pairs with an
+    earlier forward column can pass ``tol``.  Their pairs with backward
+    columns share no index: from the onset on the forward trajectory stays
+    beyond x's support and the explicit columns, and every backward index
+    is carried onto one of those by tail moves.  When the bound fails, the
+    whole table is scanned.
     """
     zero = HVector.zero()
     table = {0: fwd.vectors[0]}
@@ -525,24 +509,17 @@ def _first_overlap(horizon: int, fwd: OrbitRecord, back: OrbitRecord,
             held.append(k)
         return found
 
-    def forward(k: int) -> HVector:
-        return fwd.vectors[k] if fwd.reach(k) else fwd.vectors[-1]
-
     partners(0)
     cmax = 0.0  # largest measured |<V^n x, x>|, n >= 1
-    skip = None  # forward columns past an escape that the bound dismisses
+    cut = None  # whether the forward columns past an escape are cleared
     for j in range(1, horizon + 1):
-        if skip is None and fwd.status != OPEN:
+        if cut is None and fwd.status != OPEN:
             # the onset lies before j: columns up to j - 1 are built
-            skip = (_dismissed_columns(fwd, cmax, horizon, tol)
-                    if fwd.status == ESCAPED else range(0))
+            cut = fwd.status == ESCAPED and _escape_cut(v, fwd, cmax,
+                                                        horizon, tol)
         pairs = []
-        if skip is None or j not in skip:
-            if skip and j == skip.stop:
-                for k in skip:
-                    table[k] = forward(k)
-                    partners(k)
-            table[j] = forward(j)
+        if not cut:
+            table[j] = fwd.vectors[j] if fwd.reach(j) else fwd.vectors[-1]
             pairs = [(j, m) for m in partners(j)]
         table[-j] = back.vectors[j] if back.reach(j) else zero
         pairs += [(n, -j) for n in partners(-j)]
@@ -590,7 +567,7 @@ def is_strongly_wandering(v: StructuredIsometry, x: HVector,
 
     back = backward_orbit(v, x)
     fwd = forward_orbit(v, x)
-    witness = _first_overlap(horizon, fwd, back, tol)
+    witness = _first_overlap(v, horizon, fwd, back, tol)
     if witness is not None:
         return false_certificate(horizon, witness)
     exact = _strong_exactness(v, x, horizon, fwd, back)
@@ -648,18 +625,24 @@ def _wandering_unitary_parts(v, orbit_vectors, depth):
 
     The search is generative: each window basis vector w that is certified
     wandering contributes w - P_{H_s} w.  A vector whose residual is zero
-    contributes nothing, so only the others are certified.  The parts are
-    the residuals of the certified vectors taken as one family, since the
-    last digits of a residual depend on the family it is computed in.
+    contributes nothing, so it is not certified.  Only a vector whose index
+    some orbit vector holds can have a zero residual; every other one is
+    its own residual.  The parts are the residuals of the certified vectors
+    taken as one family, since the last digits of a residual depend on the
+    family it is computed in.
     """
     window = v.window_indices(depth)
     horizon = min(depth, WANDERING_HORIZON_CAP)
-    units = [HVector([(idx, 1.0)]) for idx in window]
+    held = {idx for g in orbit_vectors for idx in g._entries}
+    shared = [idx for idx in window if idx in held]
+    residuals = _linalg.orthogonal_residual(
+        [HVector([(idx, 1.0)]) for idx in shared], orbit_vectors)
+    in_h_s = {idx for idx, r in zip(shared, residuals) if r.is_zero()}
     certified = []
-    for b, residual in zip(units,
-                           _linalg.orthogonal_residual(units, orbit_vectors)):
-        if residual.is_zero():
+    for idx in window:
+        if idx in in_h_s:
             continue
+        b = HVector([(idx, 1.0)])
         cert = is_wandering(v, b, horizon)
         if cert.is_true and cert.exact:
             certified.append(b)

@@ -28,7 +28,11 @@ from woldlab.core import (
     TailRule,
     inner,
 )
-from woldlab.errors import MalformedInputError, PreconditionError
+from woldlab.errors import (
+    InvalidOperatorError,
+    MalformedInputError,
+    PreconditionError,
+)
 from woldlab.wold import (
     backward_orbit,
     bilateral_orbit,
@@ -428,7 +432,24 @@ def test_components_the_vector_misses_are_not_restricted():
     op = _leaky_cycle(0.3, True)
     got = is_strongly_wandering(op, basis(1, 0), 17)
     assert got.is_true and got.exact
-    assert op.component_restrictions[(0,)] is None
+    assert op.component_restrictions[(0,)] == {}
+
+
+def test_restrictions_are_validated_at_each_tolerance(monkeypatch):
+    """The cycle lane of _leaky_cycle(0.99999, True) has a column of norm
+    0.99999: its restriction validates under a working tolerance of 1e-3,
+    where the clean table of e_(1,0) + 0.01 e_(0,0) restricts it, but not
+    under the default one, so a later clean table restricting it raises
+    there as it does on a fresh operator."""
+    op = _leaky_cycle(0.99999, True)
+    monkeypatch.setenv("WOLDLAB_TOLERANCE", "1e-3")
+    loose = is_strongly_wandering(op, basis(1, 0) + basis(0, 0, 0.01), 17)
+    assert loose.is_true and list(op.component_restrictions[(0,)]) == [1e-3]
+    monkeypatch.delenv("WOLDLAB_TOLERANCE")
+    x = basis(1, 0) + basis(0, 0, 1e-6)
+    for fresh in (op, _leaky_cycle(0.99999, True)):
+        with pytest.raises(InvalidOperatorError, match="not unit"):
+            is_strongly_wandering(fresh, x, 17)
 
 
 def _leaky_feed(factor: float) -> StructuredIsometry:
