@@ -1,14 +1,17 @@
-"""Depth scan: deep CLI queries timed on a baseline revision and on the
-working tree, on the same machine.
+"""Depth scan: deep CLI queries and library calls timed on a baseline
+revision and on the working tree, on the same machine.
 
 Each query (``wold`` on ``bilateral_plus_shift`` and ``feeding_core``,
 ``pair`` on ``pair_grid`` and ``pair_shifts_2_3`` at depths 64, 128, 256
 and 512; ``wander --strong`` of e_(1,0) on ``bilateral_plus_shift`` at
-horizons 64, 128, 256 and 512) runs in a fresh interpreter with one BLAS
-thread.  The probe times
-``woldlab.cli.main`` alone (imports excluded) and reads the peak resident
-memory of its process.  Repeats alternate which tree runs first; the
-summary gives medians, the speed-up, and whether the reports are
+horizons 64, 128, 256 and 512; ``wold.strongly_wandering_span`` on
+``fixed_plus_shift`` and ``bilateral_plus_shift`` at depths 64, 128 and
+256, since depth 512 needs a horizon above ``MAX_HORIZON``) runs in a
+fresh interpreter with one BLAS thread.  The probe times
+``woldlab.cli.main`` or the library call alone (imports excluded) and
+reads the peak resident memory of its process.  A library call's report
+is the bits of its generators.  Repeats alternate which tree runs first;
+the summary gives medians, the speed-up, and whether the reports are
 byte-identical between the trees.
 
     python3 bench/depth_scan.py --baseline REV --out FILE [--repeats 3]
@@ -35,24 +38,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (64, 128, 256, 512)
-# (query, argv without the size, the option the size goes to)
+SPAN_SIZES = (64, 128, 256)
+# (query, probe, argv without the size, the option the size goes to, sizes)
 QUERIES = [
-    ("wold bilateral_plus_shift",
-     ["wold", "--input", "catalog:bilateral_plus_shift"], "depth"),
-    ("wold feeding_core", ["wold", "--input", "catalog:feeding_core"], "depth"),
-    ("pair pair_grid", ["pair", "--input", "catalog:pair_grid"], "depth"),
-    ("pair pair_shifts_2_3",
-     ["pair", "--input", "catalog:pair_shifts_2_3"], "depth"),
-    ("wander --strong bilateral_plus_shift 1:0=1",
+    ("wold bilateral_plus_shift", "cli",
+     ["wold", "--input", "catalog:bilateral_plus_shift"], "depth", SIZES),
+    ("wold feeding_core", "cli",
+     ["wold", "--input", "catalog:feeding_core"], "depth", SIZES),
+    ("pair pair_grid", "cli",
+     ["pair", "--input", "catalog:pair_grid"], "depth", SIZES),
+    ("pair pair_shifts_2_3", "cli",
+     ["pair", "--input", "catalog:pair_shifts_2_3"], "depth", SIZES),
+    ("wander --strong bilateral_plus_shift 1:0=1", "cli",
      ["wander", "--strong", "--input", "catalog:bilateral_plus_shift",
-      "--vector=1:0=1"], "horizon"),
+      "--vector=1:0=1"], "horizon", SIZES),
+    ("strongly_wandering_span fixed_plus_shift", "span",
+     ["fixed_plus_shift"], "depth", SPAN_SIZES),
+    ("strongly_wandering_span bilateral_plus_shift", "span",
+     ["bilateral_plus_shift"], "depth", SPAN_SIZES),
 ]
 # the depth-512 target of the roadmap's support-component item
 TARGET = {"depth": 512, "wall_s": 1.0,
           "queries": ["wold bilateral_plus_shift", "pair pair_grid"]}
 
-# runs in the child: argv = the command line without ``--format json``
-PROBE = r"""
+_REPORT = r"""
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_rss_mb": rss, "exit": code,
+                  "report_sha256": hashlib.sha256(
+                      report.encode()).hexdigest()}))
+"""
+# run in the child, keyed by probe name
+PROBES = {
+    # argv = the command line without ``--format json``
+    "cli": r"""
 import contextlib, hashlib, io, json, resource, sys, time
 from woldlab import cli
 argv = sys.argv[1:] + ["--format", "json"]
@@ -61,11 +79,21 @@ start = time.perf_counter()
 with contextlib.redirect_stdout(out):
     code = cli.main(argv)
 wall = time.perf_counter() - start
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"wall_s": wall, "peak_rss_mb": rss, "exit": code,
-                  "report_sha256": hashlib.sha256(
-                      out.getvalue().encode()).hexdigest()}))
-"""
+report = out.getvalue()
+""" + _REPORT,
+    # argv = [catalog entry, "--depth", depth]
+    "span": r"""
+import hashlib, json, resource, sys, time
+from woldlab import catalog, wold
+op = catalog.get(sys.argv[1]).build()
+start = time.perf_counter()
+span = wold.strongly_wandering_span(op, int(sys.argv[3]))
+wall = time.perf_counter() - start
+code = 0
+report = repr([[(idx.lane, idx.position, c.real.hex(), c.imag.hex())
+                for idx, c in g._entries.items()] for g in span.generators])
+""" + _REPORT,
+}
 
 
 def _git(*args: str) -> str:
@@ -80,11 +108,12 @@ def _export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _probe(tree: Path, argv: list[str]) -> dict:
+def _probe(tree: Path, probe: str, argv: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", PROBES[probe], *argv],
+                          env=env,
                           check=True, capture_output=True, text=True,
                           timeout=600)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -115,10 +144,10 @@ def main(argv=None) -> int:
         for repeat in range(args.repeats):
             order = ["baseline", "change"] if repeat % 2 == 0 \
                 else ["change", "baseline"]
-            for query, argv, knob in QUERIES:
-                for size in SIZES:
+            for query, probe, argv, knob, sizes in QUERIES:
+                for size in sizes:
                     for side in order:
-                        run = _probe(trees[side],
+                        run = _probe(trees[side], probe,
                                      argv + [f"--{knob}", str(size)])
                         run.update({"side": side, "repeat": repeat,
                                     "query": query, knob: size})
@@ -128,8 +157,8 @@ def main(argv=None) -> int:
                               f"{run['peak_rss_mb']:.1f} MB", file=sys.stderr)
 
     summary = []
-    for query, _, knob in QUERIES:
-        for size in SIZES:
+    for query, _, _, knob, sizes in QUERIES:
+        for size in sizes:
             mine = {side: [r for r in runs if r["query"] == query
                            and r.get(knob) == size and r["side"] == side]
                     for side in ("baseline", "change")}
@@ -165,7 +194,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for row in summary:
         size = row.get("depth", row.get("horizon"))
-        print(f"{row['query']:44} {size:4}  "
+        print(f"{row['query']:46} {size:4}  "
               f"{row['baseline_wall_s']:7.3f} -> {row['change_wall_s']:6.3f} s "
               f"({row['speedup']:5.1f}x)  {row['baseline_peak_rss_mb']:6.1f} -> "
               f"{row['change_peak_rss_mb']:6.1f} MB  "

@@ -78,26 +78,31 @@ def _parser() -> argparse.ArgumentParser:
 # -- input loading ---------------------------------------------------------
 
 
-def _load_entry_build(spec: str, kinds: tuple[str, ...]):
+def _with_article(kind: str) -> str:
+    return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}"
+
+
+def _load_entry_build(spec: str, kind: str):
     name = spec.split(":", 1)[1]
     entry = catalog.get(name)
-    if entry.kind not in kinds:
+    if entry.kind != kind:
         raise WoldlabError(
-            f"catalog entry {name!r} is a {entry.kind}, expected one of {kinds}"
+            f"catalog entry {name!r} is {_with_article(entry.kind)}, "
+            f"expected {_with_article(kind)}"
         )
     return entry.build()
 
 
 def _load_operator(spec: str):
     if spec.startswith("catalog:"):
-        return _load_entry_build(spec, ("operator",))
+        return _load_entry_build(spec, "operator")
     text = Path(spec).read_text()
     return fileformat.parse_operator(text, name=Path(spec).stem)
 
 
 def _load_pair(spec: str):
     if spec.startswith("catalog:"):
-        return _load_entry_build(spec, ("pair",))
+        return _load_entry_build(spec, "pair")
     if "," in spec:
         first, second = (part.strip() for part in spec.split(",", 1))
         return _load_operator(first), _load_operator(second)
@@ -118,7 +123,7 @@ def _load_pair(spec: str):
 
 def _load_spectral(spec: str):
     if spec.startswith("catalog:"):
-        return _load_entry_build(spec, ("spectral",))
+        return _load_entry_build(spec, "spectral")
     return fileformat.parse_spectral(Path(spec).read_text())
 
 

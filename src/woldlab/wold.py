@@ -401,6 +401,29 @@ def _scan_key(pair):
     return (max(abs(n), abs(m)), abs(n) + abs(m), -n, -m)
 
 
+def _scan_order(j: int, fwd_partners, back_partners) -> list:
+    """The pairs (j, m), m in ``fwd_partners``, and (n, -j), n in
+    ``back_partners``, sorted by ``_scan_key``; every partner lies in
+    (-j, j), except that ``back_partners`` may hold j.
+
+    All these pairs share max(|n|, |m|) = j, so the order is by the other
+    exponent's modulus a, and for each a it is (j, a), (j, -a), (a, -j),
+    (-a, -j).  Only the moduli are sorted.
+    """
+    order = []
+    for a in sorted({abs(m) for m in fwd_partners}.union(
+            abs(n) for n in back_partners)):
+        if a in fwd_partners:
+            order.append((j, a))
+        if a and -a in fwd_partners:
+            order.append((j, -a))
+        if a in back_partners:
+            order.append((a, -j))
+        if a and -a in back_partners:
+            order.append((-a, -j))
+    return order
+
+
 def _escape_cut(v: StructuredIsometry, fwd: OrbitRecord, cmax: float,
                 horizon: int, tol: float) -> bool:
     """Whether a bound B(k) proves, for every forward column k past the
@@ -483,9 +506,10 @@ def _first_overlap(v: StructuredIsometry, horizon: int, fwd: OrbitRecord,
     have an inner product of exactly 0, so an index from each basis index
     to the columns holding it names the only pairs that can pass ``tol``:
     those of the new columns j and -j with a column sharing an index.  They
-    are measured with the sparse inner product in canonical order, which
-    sorts by max(|n|, |m|) = j first, so the first violation found is the
-    one the pair-by-pair loop over the whole table would report.
+    are measured with the sparse inner product in canonical order
+    (``_scan_order``), which sorts by max(|n|, |m|) = j first, so the first
+    violation found is the one the pair-by-pair loop over the whole table
+    would report.
 
     Past the onset o of an escaped forward orbit the forward columns are
     not built when ``_escape_cut`` proves that none of their pairs with an
@@ -517,13 +541,15 @@ def _first_overlap(v: StructuredIsometry, horizon: int, fwd: OrbitRecord,
             # the onset lies before j: columns up to j - 1 are built
             cut = fwd.status == ESCAPED and _escape_cut(v, fwd, cmax,
                                                         horizon, tol)
-        pairs = []
+        fwd_partners = ()
         if not cut:
             table[j] = fwd.vectors[j] if fwd.reach(j) else fwd.vectors[-1]
-            pairs = [(j, m) for m in partners(j)]
+            fwd_partners = partners(j)
         table[-j] = back.vectors[j] if back.reach(j) else zero
-        pairs += [(n, -j) for n in partners(-j)]
-        for n, m in sorted(pairs, key=_scan_key):
+        back_partners = partners(-j)
+        if not (fwd_partners or back_partners):
+            continue
+        for n, m in _scan_order(j, fwd_partners, back_partners):
             value = abs(table[n].inner(table[m]))
             if value > tol:
                 return (n, m)
@@ -715,9 +741,15 @@ def strongly_wandering_span(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
     """Window span of certified strongly wandering vectors.
 
     Candidates are the canonical window vectors plus the kernel orbit
-    vectors.  The default horizon tracks the depth so that the backward
-    orbits of deep window vectors still die out inside it; from depth 512
-    on it exceeds ``MAX_HORIZON`` and the call is refused.
+    vectors.  Each distinct candidate is certified once: the verdict is a
+    function of the operator, the candidate's entries, the horizon and the
+    working tolerance, so a candidate whose entries repeat an earlier one
+    bit for bit (as V^n w repeats a window unit when w is a plain unit)
+    reuses its answer.  A repeat still enters the family that is
+    orthonormalized, so the generators keep their bits.  The default
+    horizon tracks the depth so that the backward orbits of deep window
+    vectors still die out inside it; from depth 512 on it exceeds
+    ``MAX_HORIZON`` and the call is refused.
     """
     if horizon is None:
         horizon = depth + 1
@@ -727,15 +759,26 @@ def strongly_wandering_span(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
     candidates = [HVector([(idx, 1.0)]) for idx in window]
     for orbit in shift_orbit_vectors(v, kernel, depth):
         candidates.extend(orbit.vectors)
+    verdicts: dict = {}  # bit key of a candidate -> certified strongly wandering
     certified = []
     for c in candidates:
         proj = c.restricted_to(window_set)
         if proj.is_zero():
             continue
-        cert = is_strongly_wandering(v, c, horizon)
-        if cert.is_true and cert.exact:
+        key = _bit_key(c)
+        if key not in verdicts:
+            cert = is_strongly_wandering(v, c, horizon)
+            verdicts[key] = cert.is_true and cert.exact
+        if verdicts[key]:
             certified.append(proj)
     return Subspace(_linalg.mgs(certified), Closure())
+
+
+def _bit_key(x: HVector) -> tuple:
+    """The entries of x in insertion order with the bits of each value, so
+    that equal keys mean identical inputs, signed zeros included."""
+    return tuple((idx, c.real.hex(), c.imag.hex())
+                 for idx, c in x._entries.items())
 
 
 # -- unitary extension -------------------------------------------------------

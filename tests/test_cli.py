@@ -139,6 +139,19 @@ def test_invalid_input_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command, name, message", [
+    ("pair", "shift", "'shift' is an operator, expected a pair"),
+    ("wold", "pair_grid", "'pair_grid' is a pair, expected an operator"),
+    ("spectral", "fixed_plus_shift",
+     "'fixed_plus_shift' is an operator, expected a spectral"),
+])
+def test_catalog_entry_of_the_wrong_kind(capsys, command, name, message):
+    code, out, err = run_cli(capsys, command, "--input", f"catalog:{name}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: catalog entry {message}\n"
+
+
 def test_invalid_vector_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "wander", "--input", "catalog:shift", "--vector", "junk",

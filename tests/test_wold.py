@@ -230,6 +230,20 @@ def test_pair_ranks_follow_scan_order(horizon):
     assert scan == scan_pairs(horizon)
 
 
+@pytest.mark.parametrize("horizon", STRONG_SCAN_HORIZONS + (96,))
+def test_scan_order_sorts_by_scan_key(horizon):
+    """``_scan_order`` lists the pairs of random partner sets of j and -j
+    as sorting them by ``_scan_key`` would."""
+    rng = random.Random(horizon)
+    for j in range(1, horizon + 1):
+        for density in (0.1, 0.5, 1.0):
+            fwd = {m for m in range(1 - j, j) if rng.random() < density}
+            back = {n for n in range(1 - j, j + 1) if rng.random() < density}
+            pairs = [(j, m) for m in fwd] + [(n, -j) for n in back]
+            assert wold._scan_order(j, fwd, back) == \
+                sorted(pairs, key=wold._scan_key)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
 def test_strong_scan_matches_pair_loop(scale):
     """The dense prefilter reports the verdict, exactness and witness of the
@@ -697,6 +711,99 @@ def test_strong_splitting_componentwise():
             part_s = True if xs.is_zero(1e-9) else \
                 is_strongly_wandering(op, xs, depth).is_true
             assert whole == (part_u and part_s), (name, k)
+
+
+def _counting_strong_tests(monkeypatch, op):
+    """Record the vectors ``is_strongly_wandering`` is asked about on op,
+    component re-tests excluded."""
+    tested = []
+    test = wold.is_strongly_wandering
+
+    def counted(v, x, horizon=wold.DEFAULT_HORIZON):
+        if v is op:
+            tested.append(x)
+        return test(v, x, horizon)
+    monkeypatch.setattr(wold, "is_strongly_wandering", counted)
+    return tested
+
+
+def _span_certifying_every_candidate(v, depth):
+    """The generators of ``strongly_wandering_span`` with every candidate
+    certified afresh, repeats included, and the number of candidates."""
+    from woldlab import _linalg
+
+    indices = v.window_indices(depth)
+    window = set(indices)
+    candidates = [HVector([(idx, 1.0)]) for idx in indices]
+    kernel = kernel_of_adjoint(v).generators
+    for orbit in shift_orbit_vectors(v, kernel, depth):
+        candidates.extend(orbit.vectors)
+    tested = 0
+    certified = []
+    for c in candidates:
+        proj = c.restricted_to(window)
+        if proj.is_zero():
+            continue
+        tested += 1
+        cert = is_strongly_wandering(v, c, depth + 1)
+        if cert.is_true and cert.exact:
+            certified.append(proj)
+    return _linalg.mgs(certified), tested
+
+
+def _bits(vectors):
+    return [[(idx, c.real.hex(), c.imag.hex()) for idx, c in g._entries.items()]
+            for g in vectors]
+
+
+def test_strong_span_tests_each_distinct_candidate_once(monkeypatch, shift):
+    """On the shift the kernel orbit V^n e_0 restricted to the window is the
+    window units again, so depth 40 needs 40 strong tests, not 80."""
+    tested = _counting_strong_tests(monkeypatch, shift)
+    span = strongly_wandering_span(shift, 40)
+    assert len(tested) == 40
+    assert len({x.plain_index() for x in tested}) == 40
+    assert span.dim == 40
+
+
+@pytest.mark.parametrize("name", ["shift", "double_shift", "fixed_plus_shift",
+                                  "cycle_plus_shift", "bilateral_plus_shift",
+                                  "feeding_core"])
+def test_strong_span_matches_certifying_every_candidate(name):
+    op = catalog.get(name).build()
+    want, _ = _span_certifying_every_candidate(op, 40)
+    assert _bits(strongly_wandering_span(op, 40).generators) == _bits(want)
+
+
+# seeds 14 and 72: kernel generators mixed over lanes with phase 1j, so no
+# candidate repeats; seeds 2 and 51: plain kernels on lanes with phase -1
+# and 1j, whose orbits come back to the window units
+@pytest.mark.parametrize("seed, repeats", [(14, False), (72, False),
+                                           (2, True), (51, True)])
+def test_strong_span_on_random_isometries(monkeypatch, seed, repeats):
+    op = random_structured_isometry(seed)
+    want, candidates = _span_certifying_every_candidate(op, 8)
+    tested = _counting_strong_tests(monkeypatch, op)
+    assert _bits(strongly_wandering_span(op, 8).generators) == _bits(want)
+    assert (len(tested) < candidates) == repeats
+
+
+def test_strong_span_keys_candidates_by_their_bits(monkeypatch, shift):
+    """A candidate that differs from a window unit only in the sign of a
+    zero imaginary part is tested on its own; an identical one is not."""
+    unit = HVector([(BasisIndex(0, 0), 1.0)])
+    signed = HVector._pruned({BasisIndex(0, 0): complex(1.0, -0.0)})
+    assert unit.approx_equals(signed, 0.0)
+
+    class Orbit:
+        vectors = [unit, signed, signed]
+    monkeypatch.setattr(wold, "shift_orbit_vectors",
+                        lambda v, kernel, depth: [Orbit])
+    tested = _counting_strong_tests(monkeypatch, shift)
+    strongly_wandering_span(shift, 4)
+    assert len(tested) == 5
+    assert math.copysign(1.0, tested[-1].coefficient(BasisIndex(0, 0)).imag) \
+        == -1.0
 
 
 # -- minimal unitary extension ---------------------------------------------------------
