@@ -18,8 +18,6 @@ from .core import (
     StructuredIsometry,
     Subspace,
     TailRule,
-    apply,
-    apply_adjoint,
     commutes,
     compose,
     doubly_commutes,

@@ -849,14 +849,6 @@ def lanes_reducing(op: StructuredIsometry, lane_ids) -> bool:
 # -- operations on pairs of operators ------------------------------------------
 
 
-def apply(v: StructuredIsometry, x: HVector) -> HVector:
-    return v.apply(x)
-
-
-def apply_adjoint(v: StructuredIsometry, x: HVector) -> HVector:
-    return v.apply_adjoint(x)
-
-
 def compose(v: StructuredIsometry, w: StructuredIsometry,
             name: str | None = None) -> StructuredIsometry:
     """The product isometry ``x -> v(w(x))`` in structured form.
@@ -925,19 +917,32 @@ def commutes(v: StructuredIsometry, w: StructuredIsometry,
     return true_certificate(window, exact=True)
 
 
-def doubly_commutes(v: StructuredIsometry, w: StructuredIsometry,
-                    window: int = 64) -> Certificate:
-    """Whether v*w = wv* on top of commutation.
+def cross_commutator(v: StructuredIsometry,
+                     w: StructuredIsometry) -> dict[BasisIndex, HVector]:
+    """C e = (v*w - wv*) e for every index e in the support of ker v*, for a
+    commuting pair; C vanishes on every other index.
 
     For commuting isometries v*w - wv* = v*w(I - vv*), as v*v = I and
-    vw = wv, and I - vv* projects onto ker v*.  So the pair doubly commutes
-    exactly when w maps ker v* into itself, and only the kernel's support
-    can fail: at an index e the defect is sum_k conj(k[e]) v*wk over its
-    orthonormal basis, tried in window order.  The kernel is finite and
-    exact, so is the answer, to the validation and commutation tolerances.
+    vw = wv, and I - vv* projects onto ker v*.  At an index e that is
+    sum_k conj(k[e]) v*wk over the kernel's orthonormal basis.  The kernel
+    is finite and exact, so is the table.
     """
     from .wold import kernel_of_adjoint
 
+    table: dict[BasisIndex, HVector] = {}
+    for k in kernel_of_adjoint(v).generators:
+        image = v.apply_adjoint(w.apply(k))
+        for idx, c in k.items():
+            table[idx] = table.get(idx, HVector.zero()) \
+                + image.scaled(c.conjugate())
+    return table
+
+
+def doubly_commutes(v: StructuredIsometry, w: StructuredIsometry,
+                    window: int = 64) -> Certificate:
+    """Whether v*w = wv* on top of commutation: whether the cross-commutator
+    vanishes, tried at its indices in window order.  Exact, to the
+    validation and commutation tolerances."""
     pre = commutes(v, w, window)
     if not pre.is_true:
         raise PreconditionError(
@@ -947,14 +952,9 @@ def doubly_commutes(v: StructuredIsometry, w: StructuredIsometry,
     bound = (max(v.core_radius(), w.core_radius())
              + 2 * (v.max_offset() + w.max_offset()) + 2)
     effective = max(window, bound)
-    defects: dict[BasisIndex, HVector] = {}
-    for k in kernel_of_adjoint(v).generators:
-        image = v.apply_adjoint(w.apply(k))
-        for idx, c in k.items():
-            defects[idx] = defects.get(idx, HVector.zero()) \
-                + image.scaled(c.conjugate())
+    table = cross_commutator(v, w)
     tol = tolerance()
-    for idx in sorted(defects):
-        if defects[idx].norm() > tol:
+    for idx in sorted(table):
+        if table[idx].norm() > tol:
             return false_certificate(effective, idx)
     return true_certificate(effective, exact=True)

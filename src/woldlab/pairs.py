@@ -24,6 +24,7 @@ from .config import (
     GENERATOR_ZERO_TOL,
     H0_MEMBERSHIP_TOL,
     H0_UNITARY_TOL,
+    tolerance,
 )
 from .core import (
     Closure,
@@ -32,7 +33,7 @@ from .core import (
     Subspace,
     commutes,
     compose,
-    doubly_commutes,
+    cross_commutator,
     lane_components,
 )
 from .errors import PreconditionError
@@ -49,6 +50,22 @@ def _require_commuting(v1, v2, depth):
 # -- forward closure of H0 ----------------------------------------------------
 
 
+def _forward_closure(op: StructuredIsometry, generators,
+                     depth: int) -> tuple[Subspace, Certificate]:
+    """Window basis of the closed span of op^n g for n = 0..depth, with an
+    exact certificate once a step adds nothing: the span is op-invariant
+    from there on."""
+    basis: list[HVector] = []
+    vectors = list(generators)
+    for _ in range(depth + 1):
+        grown = _linalg.complement_basis(vectors, basis)
+        if not grown:
+            return Subspace(basis, Closure()), true_certificate(depth, exact=True)
+        basis += grown
+        vectors = [op.apply(g) for g in vectors]
+    return Subspace(basis, Closure()), undecided_certificate(depth)
+
+
 @dataclass(frozen=True)
 class H0PlusResult:
     """Window basis of the closed span of V2^n H0, with certificates that it
@@ -63,44 +80,26 @@ class H0PlusResult:
 
 
 def h0_plus(v1: StructuredIsometry, v2: StructuredIsometry, h0: Subspace,
-            depth: int = DEFAULT_DEPTH, *, _checked: bool = False) -> H0PlusResult:
+            depth: int = DEFAULT_DEPTH) -> H0PlusResult:
     """Span of V2^n H0 for n = 0..depth, certified V1/V2-reducing with V1
     unitary on it.  H0 must sit inside the wandering-span residual of V1."""
     _require_commuting(v1, v2, depth)
-    if not _checked and h0.generators:
-        wsd = wandering_residual_basis(v1, depth)
-        residuals = _linalg.orthogonal_residual(h0.generators, wsd)
+    if h0.generators:
+        residual = wold.wandering_span_decompose(v1, depth).h0.generators
+        residuals = _linalg.orthogonal_residual(h0.generators, residual)
         if any(r.norm() > H0_MEMBERSHIP_TOL for r in residuals):
             raise PreconditionError(
                 "h0_plus input is not inside the wandering-span residual"
             )
-    basis: list[HVector] = []
-    stabilized = False
-    vectors = list(h0.generators)
-    for _ in range(depth + 1):
-        grown = _linalg.complement_basis(vectors, basis)
-        basis += grown
-        if not grown:
-            # V2(span) adds nothing, and the span is V2-invariant from here on
-            stabilized = True
-            break
-        vectors = [v2.apply(g) for g in vectors]
-    cert = (true_certificate(depth, exact=True) if stabilized
-            else undecided_certificate(depth))
-    v1_red = wold.reducing_certificate(v1, basis, depth)
-    v2_red = wold.reducing_certificate(v2, basis, depth)
+    span, cert = _forward_closure(v2, h0.generators, depth)
+    v1_red = wold.reducing_certificate(v1, span.generators, depth)
+    v2_red = wold.reducing_certificate(v2, span.generators, depth)
     unitary_on = all(
         v1.apply(v1.apply_adjoint(b)).approx_equals(b, H0_UNITARY_TOL)
         and v1.apply_adjoint(v1.apply(b)).approx_equals(b, H0_UNITARY_TOL)
-        for b in basis
+        for b in span.generators
     )
-    return H0PlusResult(
-        Subspace(basis, Closure()), cert, v1_red, v2_red, unitary_on, depth
-    )
-
-
-def wandering_residual_basis(v1: StructuredIsometry, depth: int) -> list[HVector]:
-    return list(wold.wandering_span_decompose(v1, depth).h0.generators)
+    return H0PlusResult(span, cert, v1_red, v2_red, unitary_on, depth)
 
 
 # -- iterated exhaustion -------------------------------------------------------
@@ -135,56 +134,40 @@ def _finite_lane_cover(op: StructuredIsometry, basis) -> set[int] | None:
 def exhaust_h0(v1: StructuredIsometry, v2: StructuredIsometry,
                max_iter: int = 8, depth: int = DEFAULT_DEPTH) -> ExhaustResult:
     """Repeat wandering-span decomposition + forward closure on shrinking
-    complements until the closure is trivial."""
+    complements until the closure is trivial.  H1 is the window of what is
+    left, empty once every lane is peeled."""
     _require_commuting(v1, v2, depth)
     current1, current2 = v1, v2
     peeled: list[int] = []
-    iterations = 0
+    iterations, exact = 0, False
     for _ in range(max_iter):
         wsd = wold.wandering_span_decompose(current1, depth)
         if wsd.h0.dim == 0:
-            if wsd.certificate.is_undecided:
-                return ExhaustResult(
-                    _whole_window_subspace(current1, depth),
-                    iterations, undecided_certificate(depth), tuple(peeled),
-                )
-            return ExhaustResult(
-                _whole_window_subspace(current1, depth),
-                iterations, true_certificate(depth, exact=True), tuple(peeled),
-            )
-        plus = h0_plus(current1, current2, wsd.h0, depth, _checked=True)
-        if plus.certificate.is_undecided:
-            return ExhaustResult(
-                _whole_window_subspace(current1, depth),
-                iterations, undecided_certificate(depth), tuple(peeled),
-            )
-        lanes = _finite_lane_cover(current1, plus.subspace.generators)
+            exact = not wsd.certificate.is_undecided
+            break
+        plus, cert = _forward_closure(current2, wsd.h0.generators, depth)
+        # an open closure, or a peel that is not a union of whole finite
+        # lanes, leaves a complement that is not structurally representable
+        lanes = (_finite_lane_cover(current1, plus.generators)
+                 if cert.is_true else None)
         if lanes is None:
-            # the peel is not a union of whole finite lanes, so the
-            # complement is not structurally representable
-            return ExhaustResult(
-                _whole_window_subspace(current1, depth),
-                iterations, undecided_certificate(depth), tuple(peeled),
-            )
-        keep = [l.lane_id for l in current1.lanes if l.lane_id not in lanes]
-        if not keep:
-            return ExhaustResult(
-                Subspace([], Closure()), iterations + 1,
-                true_certificate(depth, exact=True), tuple(peeled) + tuple(sorted(lanes)),
-            )
-        current1 = current1.restricted_to_lanes(keep)
-        current2 = current2.restricted_to_lanes(keep)
+            break
         peeled.extend(sorted(lanes))
         iterations += 1
+        keep = [l.lane_id for l in current1.lanes if l.lane_id not in lanes]
+        if not keep:
+            current1, exact = None, True
+            break
+        current1 = current1.restricted_to_lanes(keep)
+        current2 = current2.restricted_to_lanes(keep)
+    window = [] if current1 is None else current1.window_indices(depth)
     return ExhaustResult(
-        _whole_window_subspace(current1, depth),
-        iterations, undecided_certificate(depth), tuple(peeled),
+        Subspace([HVector([(idx, 1.0)]) for idx in window], Closure()),
+        iterations,
+        true_certificate(depth, exact=True) if exact
+        else undecided_certificate(depth),
+        tuple(peeled),
     )
-
-
-def _whole_window_subspace(op, depth) -> Subspace:
-    basis = [HVector([(idx, 1.0)]) for idx in op.window_indices(depth)]
-    return Subspace(basis, Closure())
 
 
 # -- weak bi-shift classification ----------------------------------------------
@@ -345,24 +328,36 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
 # -- completely non doubly commuting ---------------------------------------------
 
 
+def _failing_lanes(v1: StructuredIsometry, v2: StructuredIsometry) -> set[int]:
+    """Lanes holding an index at which the cross-commutator of the
+    commuting pair is nonzero."""
+    tol = tolerance()
+    return {idx.lane for idx, c in cross_commutator(v1, v2).items()
+            if c.norm() > tol}
+
+
 def _doubly_commuting_component(v1: StructuredIsometry,
                                  v2: StructuredIsometry,
-                                 window: int) -> tuple[int, ...] | None:
+                                 failing: set[int] | None = None
+                                 ) -> tuple[int, ...] | None:
     """First proper lane component of the pair, by largest lane id, on which
-    the pair doubly commutes.
+    the pair doubly commutes; ``failing`` are the pair's ``_failing_lanes``.
 
     The lane sets reducing both operators are exactly the unions of the
     components of their joint lane graph, and a pair doubly commutes on an
     orthogonal sum exactly when it does on every summand, so single
-    components are the only candidates worth testing.
+    components are the only candidates worth testing.  Every vector of
+    ker V1* lies in one component, which both operators map into itself, so
+    the pair's cross-commutator restricts to each component's: a component
+    doubly commutes exactly when none of its lanes fails.
     """
     components = lane_components(v1, v2)
     if len(components) < 2:
         return None
+    if failing is None:
+        failing = _failing_lanes(v1, v2)
     for component in sorted(components, key=max):
-        r1 = v1.restricted_to_lanes(component)
-        r2 = v2.restricted_to_lanes(component)
-        if doubly_commutes(r1, r2, window).is_true:
+        if failing.isdisjoint(component):
             return component
     return None
 
@@ -375,19 +370,21 @@ def is_completely_non_doubly_commuting(v1: StructuredIsometry,
     decomposition (commuting with a unitary forces double commutation), and
     the lane components of the pair (the components of the lane graph whose
     edges are the tail rules and cross-lane columns of both operators).
+    The whole space and the components are read off one cross-commutator
+    table.
 
     A true verdict is a certificate relative to that family, reported with
     ``exact=False``; false verdicts carry the witnessing subspace.
     """
     _require_commuting(v1, v2, window)
-    whole = doubly_commutes(v1, v2, window)
-    if whole.is_true:
+    failing = _failing_lanes(v1, v2)
+    if not failing:
         return false_certificate(window, ("subspace", "whole space"))
     *_, parts = _unitary_type_parts(v1, v2, min(window, CNDC_DEPTH))
     for label, basis in zip(("uu", "us", "su"), parts):
         if basis:
             return false_certificate(window, ("subspace", label))
-    component = _doubly_commuting_component(v1, v2, window)
+    component = _doubly_commuting_component(v1, v2, failing)
     if component is not None:
         return false_certificate(window, ("lanes", component))
     return true_certificate(window, exact=False)

@@ -875,6 +875,10 @@ def bilateral_orbit(u: StructuredIsometry, w: HVector,
         raise PreconditionError(
             "the generator is not strongly wandering", witness=cert.witness
         )
-    w0 = w.normalized()
-    generators = [u.apply_power(w0, n) for n in range(-horizon, horizon + 1)]
+    # U^n w0 for n = -horizon..horizon, one application per step
+    orbit = {0: w.normalized()}
+    for n in range(1, horizon + 1):
+        orbit[n] = u.apply(orbit[n - 1])
+        orbit[-n] = u.apply_adjoint(orbit[1 - n])
+    generators = [orbit[n] for n in range(-horizon, horizon + 1)]
     return Subspace(generators, Closure("full_orbit", u.name or "U"))

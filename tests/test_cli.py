@@ -517,3 +517,48 @@ def test_every_error_is_one_stderr_line(query):
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == "" and out.getvalue()
+
+
+SWAP = "lane 0 finite 2\ncolumn 0:0 = 0:1 1 0\ncolumn 0:1 = 0:0 1 0\n"
+FLIP = "lane 0 finite 2\ncolumn 0:0 = 0:0 1 0\ncolumn 0:1 = 0:1 -1 0\n"
+
+
+def test_pair_report_on_a_non_commuting_pair(tmp_path, capsys):
+    """The swap and diag(1, -1) anticommute: the report carries the
+    commutation witness, leaves every other section null and exits 0."""
+    pair_file = tmp_path / "swap_flip.op"
+    pair_file.write_text(SWAP + "==\n" + FLIP)
+    code, out, _ = run_cli(
+        capsys, "pair", "--input", str(pair_file), "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["commutes"]["verdict"] == "false"
+    assert report["commutes"]["witness"] == {
+        "kind": "basis_index", "lane": 0, "position": 0}
+    for key in ("doubly_commutes", "weak_bishift", "decomposition",
+                "completely_non_doubly_commuting"):
+        assert report[key] is None, key
+
+
+def test_pair_input_as_two_files(tmp_path, capsys):
+    """--input A.op,B.op reads one operator from each file and reports as
+    the one-file form with a separator line does."""
+    shifts = ["lane 0 naturals\ntail 0 0 -> 0 offset 2 phase 0\n",
+              "lane 0 naturals\ntail 0 0 -> 0 offset 3 phase 0\n"]
+    first, second, both = (tmp_path / "s2.op", tmp_path / "s3.op",
+                           tmp_path / "s23.op")
+    first.write_text(shifts[0])
+    second.write_text(shifts[1])
+    both.write_text(shifts[0] + "==\n" + shifts[1])
+    reports = []
+    for spec in (f"{first},{second}", str(both)):
+        code, out, _ = run_cli(capsys, "pair", "--input", spec,
+                               "--depth", "16", "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["weak_bishift"]["verdict"] == "true"
+    assert reports[0]["doubly_commutes"]["verdict"] == "false"
+    for report in reports:
+        del report["input"]
+    assert reports[0] == reports[1]

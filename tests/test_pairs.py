@@ -8,7 +8,7 @@ import pytest
 
 from oracle import span_residual_norm
 from samples import catalog_pairs
-from woldlab import catalog, pairs, wold
+from woldlab import catalog, core, pairs, wold
 from woldlab.certificates import false_certificate, true_certificate
 from woldlab.config import CNDC_DEPTH
 from woldlab.core import (
@@ -19,12 +19,13 @@ from woldlab.core import (
     StructuredIsometry,
     Subspace,
     TailRule,
+    cross_commutator,
     doubly_commutes,
     inner,
     lane_components,
     lanes_reducing,
 )
-from woldlab.errors import PreconditionError
+from woldlab.errors import InvalidOperatorError, PreconditionError
 from woldlab.pairs import (
     _doubly_commuting_component,
     exhaust_h0,
@@ -124,6 +125,17 @@ def test_exhaust_cycle_plus_shift():
     assert res.certificate.is_true
 
 
+def test_exhaust_peels_every_lane_of_a_cycle():
+    """On a 3-cycle the closure of H0 is the whole finite lane: one peel
+    leaves no lane, and H1 is the zero subspace, exactly."""
+    cycle = StructuredIsometry(
+        [LaneSpec(0, "finite", 3)],
+        {BasisIndex(0, p): basis(0, (p + 1) % 3) for p in range(3)}, [])
+    res = exhaust_h0(cycle, cycle, depth=8)
+    assert (res.iterations, res.peeled_lanes, res.h1.dim) == (1, (0,), 0)
+    assert res.certificate.is_true and res.certificate.exact
+
+
 def test_exhaust_residual_spanned_by_wandering_vectors(fixed_plus_shift):
     """On the residual, the wandering span covers everything: each window
     basis vector of H1 lies in the certified wandering span."""
@@ -143,6 +155,42 @@ def test_exhaust_undecided_on_lingering_core():
     op = catalog.lingering_core()
     res = exhaust_h0(op, op, depth=24)
     assert res.certificate.is_undecided
+
+
+def _counted_work(monkeypatch):
+    """Counts commutation checks, compositions, operators built, lane
+    restrictions and reducing checks from here on."""
+    calls = dict.fromkeys(("commutes", "compose", "operators", "restrictions",
+                           "reducing_certificate"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owners in (("commutes", (core, pairs)), ("compose", (core, pairs)),
+                         ("reducing_certificate", (wold,))):
+        wrapper = counted(name, getattr(owners[0], name))
+        for owner in owners:
+            monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(StructuredIsometry, "__init__", counted(
+        "operators", StructuredIsometry.__init__))
+    monkeypatch.setattr(StructuredIsometry, "restricted_to_lanes", counted(
+        "restrictions", StructuredIsometry.restricted_to_lanes))
+    return calls
+
+
+def test_exhaust_closure_step_repeats_no_check(monkeypatch, fixed_plus_shift):
+    """The closure step checks neither commutation nor reducing: the two
+    reducing checks are those of the two wandering-span decompositions, and
+    the operators built are the commutation check's two products and the
+    two restrictions to the unpeeled lane."""
+    calls = _counted_work(monkeypatch)
+    res = exhaust_h0(fixed_plus_shift, fixed_plus_shift, depth=24)
+    assert res.peeled_lanes == (0,)
+    assert calls == {"commutes": 1, "compose": 2, "operators": 4,
+                     "restrictions": 2, "reducing_certificate": 2}
 
 
 # -- weak bi-shift ----------------------------------------------------------------
@@ -414,7 +462,7 @@ def test_component_search_skips_the_lowest_lane():
               _block(random.Random(0), [1], "phases")]
     v1, v2 = _assemble(blocks)
     assert _brute_force_lanes(v1, v2, 8) == (1,)
-    assert _doubly_commuting_component(v1, v2, 8) == (1,)
+    assert _doubly_commuting_component(v1, v2) == (1,)
 
 
 def test_component_search_matches_subset_scan():
@@ -422,7 +470,7 @@ def test_component_search_matches_subset_scan():
     for seed in range(60):
         v1, v2 = _random_commuting_pair(seed)
         expected = _brute_force_lanes(v1, v2, 8)
-        assert _doubly_commuting_component(v1, v2, 8) == expected, seed
+        assert _doubly_commuting_component(v1, v2) == expected, seed
         hits.add(expected if expected is None else min(expected) > 0)
         components = lane_components(v1, v2)
         interleaved |= any(min(a) < min(b) and max(a) > max(b)
@@ -434,6 +482,46 @@ def test_component_search_matches_subset_scan():
     # the seeds cover no hit, a hit at lane 0, a hit past it, and components
     # whose order by largest lane id differs from their order by smallest
     assert hits == {None, False, True} and interleaved
+
+
+def test_ncdc_checks_commutation_once_and_restricts_nothing(monkeypatch):
+    """One commutation check (two products) per call, and the component
+    search reads the cross-commutator table instead of restricting."""
+    random_pairs = [_random_commuting_pair(seed) for seed in range(60)]
+    calls = _counted_work(monkeypatch)
+    for v1, v2 in random_pairs:
+        is_completely_non_doubly_commuting(v1, v2, 8)
+    assert calls == {"commutes": 60, "compose": 120, "operators": 120,
+                     "restrictions": 0, "reducing_certificate": 0}
+
+
+def test_component_search_rebuilds_no_operator():
+    """The cycle lane of this operator has a column of norm 0.3, accepted
+    by a loose validation tolerance.  Its restriction fails validation at
+    the working tolerance, but the search builds none: the cycle lane holds
+    no failing index of the cross-commutator, the shift lane does."""
+    op = StructuredIsometry(
+        [LaneSpec(0, "finite", 2), LaneSpec(1, "naturals")],
+        {BasisIndex(0, 0): basis(0, 1, 0.3), BasisIndex(0, 1): basis(0, 0)},
+        [TailRule(1, 0, 1, 1)], tol=0.8)
+    with pytest.raises(InvalidOperatorError, match="not unit"):
+        op.restricted_to_lanes([0])
+    assert _doubly_commuting_component(op, op) == (0,)
+
+
+def test_cross_commutator_matches_its_definition():
+    """C e = V1* V2 e - V2 V1* e at every index of the table, and C e = 0 at
+    every other window index."""
+    checked = 0
+    for name, (v1, v2) in catalog_pairs():
+        table = cross_commutator(v1, v2)
+        for idx in v1.window_indices(8) + sorted(table):
+            e = HVector([(idx, 1.0)])
+            direct = v1.apply_adjoint(v2.apply(e)) - v2.apply(v1.apply_adjoint(e))
+            assert table.get(idx, HVector.zero()).approx_equals(direct, 1e-12), \
+                (name, idx)
+            checked += idx in table
+    assert checked
 
 
 # -- one orbit computation per Wold analysis ---------------------------------------

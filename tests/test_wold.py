@@ -1,6 +1,7 @@
 """Wold decomposition, wandering certification, wandering-span splitting,
 unitary extensions and bilateral orbits."""
 
+import cmath
 import math
 import random
 
@@ -916,6 +917,27 @@ def test_bilateral_orbit_of_diagonal_vector():
     # the restriction acts as a bilateral shift on the orbit basis
     for n in range(-6, 6):
         assert bb.apply(sub.generators[n + 6]).approx_equals(sub.generators[n + 7])
+
+
+def test_bilateral_orbit_walks_each_direction_once():
+    """h applications each way beyond those of the strong test, and the
+    generators have the bits of U^n w0 by apply_power for n = -h..h."""
+    h = 9
+    op = StructuredIsometry(
+        [LaneSpec(0, "integers"), LaneSpec(1, "integers")], {},
+        [TailRule(0, 0, 0, 1, cmath.exp(2j * math.pi / 7)),
+         TailRule(1, 0, 1, 1, cmath.exp(0.6j * math.pi))])
+    w = basis(0, 0, 0.6) + basis(1, 0, 0.8j + 1e-3)
+    expected = [op.apply_power(w.normalized(), n) for n in range(-h, h + 1)]
+    op = _counting(op)
+    is_strongly_wandering(op, w, h)
+    strong = dict(op.calls)
+    op.calls.update(apply=0, apply_adjoint=0)
+    sub = bilateral_orbit(op, w, h)
+    assert op.calls == {"apply": strong["apply"] + h,
+                        "apply_adjoint": strong["apply_adjoint"] + h}
+    assert [repr(g.items()) for g in sub.generators] == \
+        [repr(g.items()) for g in expected]
 
 
 def test_bilateral_orbit_refuses_fixed_point(fixed_plus_shift):
