@@ -2,11 +2,12 @@
 revision and on the working tree, on the same machine.
 
 Each query (``wold`` on ``bilateral_plus_shift`` and ``feeding_core``,
-``pair`` on ``pair_grid`` and ``pair_shifts_2_3`` at depths 64, 128, 256
-and 512; ``wander --strong`` of e_(1,0) on ``bilateral_plus_shift`` at
-horizons 64, 128, 256 and 512; ``wold.strongly_wandering_span`` on
-``fixed_plus_shift`` and ``bilateral_plus_shift`` at depths 64, 128 and
-256, since depth 512 needs a horizon above ``MAX_HORIZON``) runs in a
+``pair`` on ``pair_grid`` and ``pair_shifts_2_3`` at depths 64, 128, 256,
+512 and 1024; ``wander --strong`` of e_(1,0) on ``bilateral_plus_shift``
+at horizons 64, 128, 256 and 512, the largest ``MAX_HORIZON`` allows;
+``wold.strongly_wandering_span`` on ``fixed_plus_shift`` and
+``bilateral_plus_shift`` at depths 64, 128 and 256, since depth 512 needs
+a horizon above ``MAX_HORIZON``) runs in a
 fresh interpreter with one BLAS thread.  The probe times
 ``woldlab.cli.main`` or the library call alone (imports excluded) and
 reads the peak resident memory of its process.  A library call's report
@@ -38,17 +39,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (64, 128, 256, 512)
+DEPTHS = SIZES + (1024,)
 SPAN_SIZES = (64, 128, 256)
 # (query, probe, argv without the size, the option the size goes to, sizes)
 QUERIES = [
     ("wold bilateral_plus_shift", "cli",
-     ["wold", "--input", "catalog:bilateral_plus_shift"], "depth", SIZES),
+     ["wold", "--input", "catalog:bilateral_plus_shift"], "depth", DEPTHS),
     ("wold feeding_core", "cli",
-     ["wold", "--input", "catalog:feeding_core"], "depth", SIZES),
+     ["wold", "--input", "catalog:feeding_core"], "depth", DEPTHS),
     ("pair pair_grid", "cli",
-     ["pair", "--input", "catalog:pair_grid"], "depth", SIZES),
+     ["pair", "--input", "catalog:pair_grid"], "depth", DEPTHS),
     ("pair pair_shifts_2_3", "cli",
-     ["pair", "--input", "catalog:pair_shifts_2_3"], "depth", SIZES),
+     ["pair", "--input", "catalog:pair_shifts_2_3"], "depth", DEPTHS),
     ("wander --strong bilateral_plus_shift 1:0=1", "cli",
      ["wander", "--strong", "--input", "catalog:bilateral_plus_shift",
       "--vector=1:0=1"], "horizon", SIZES),

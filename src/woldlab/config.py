@@ -87,12 +87,6 @@ EXACT_PHASE_TOL = 1e-12
 DEFAULT_DEPTH = 64
 DEFAULT_HORIZON = 64
 
-# Largest window depth at which ``pairs.is_completely_non_doubly_commuting``
-# looks for a nonzero unitary-type part of the pair decomposition: it bounds
-# the cost of that search whatever the report's depth, and the CNDC verdict
-# of every ``pair`` report depends on it.
-CNDC_DEPTH = 24
-
 # Largest horizon at which ``wold.wandering_span_decompose`` certifies the
 # window basis vectors as wandering; shallower windows use their depth.
 WANDERING_HORIZON_CAP = 32

@@ -362,6 +362,12 @@ class IsometryDefect(NamedTuple):
     width: int
 
 
+def check_depth(n: int) -> None:
+    """Refuse a window depth below 1, where no window means anything."""
+    if n < 1:
+        raise MalformedInputError("depth must be positive")
+
+
 class StructuredIsometry:
     """An isometry given by explicit columns plus tail rules; see module doc.
 
@@ -424,7 +430,9 @@ class StructuredIsometry:
 
     def window_indices(self, n: int) -> list[BasisIndex]:
         """The canonical window of depth n, lane by lane; refused, before
-        it is built, when it would hold more than ``MAX_WINDOW`` indices."""
+        it is built, when n is not positive or the window would hold more
+        than ``MAX_WINDOW`` indices."""
+        check_depth(n)
         lanes = [(lane.lane_id, lane.window_positions(n)) for lane in self.lanes]
         size = sum(len(positions) for _, positions in lanes)
         if size > MAX_WINDOW:

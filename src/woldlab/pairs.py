@@ -9,6 +9,7 @@ and the flags say when the limit was actually reached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import _linalg, wold
@@ -19,7 +20,6 @@ from .certificates import (
     undecided_certificate,
 )
 from .config import (
-    CNDC_DEPTH,
     DEFAULT_DEPTH,
     GENERATOR_ZERO_TOL,
     H0_MEMBERSHIP_TOL,
@@ -132,15 +132,16 @@ def _finite_lane_cover(op: StructuredIsometry, basis) -> set[int] | None:
 
 
 def exhaust_h0(v1: StructuredIsometry, v2: StructuredIsometry,
-               max_iter: int = 8, depth: int = DEFAULT_DEPTH) -> ExhaustResult:
+               depth: int = DEFAULT_DEPTH) -> ExhaustResult:
     """Repeat wandering-span decomposition + forward closure on shrinking
     complements until the closure is trivial.  H1 is the window of what is
-    left, empty once every lane is peeled."""
+    left, empty once every lane is peeled.  A pass that does not stop
+    peels at least one whole lane, so the passes end."""
     _require_commuting(v1, v2, depth)
     current1, current2 = v1, v2
     peeled: list[int] = []
     iterations, exact = 0, False
-    for _ in range(max_iter):
+    while True:
         wsd = wold.wandering_span_decompose(current1, depth)
         if wsd.h0.dim == 0:
             exact = not wsd.certificate.is_undecided
@@ -273,29 +274,34 @@ class PairReport:
     exact: bool
 
 
-def _unitary_type_parts(v1, v2, depth):
+@functools.lru_cache(maxsize=1)
+def _unitary_type_parts(v1, v2, depth, tol):
     """Both Wold decompositions, the window units, and the window bases of
     the three unitary-type parts: both unitary, V1 unitary with V2 a shift,
     and V1 a shift with V2 unitary.
 
     The shift part's window basis is H_s ∩ window: the window combinations
-    lying in the span of the (orthonormal) kernel orbit vectors."""
+    lying in the span of the (orthonormal) kernel orbit vectors.
+
+    The decomposition and the CNDC search both read it, so the last answer
+    is kept, in tuples that no caller can change.  Operators are keyed by
+    identity; ``tol`` is the working tolerance the orbit certificates use."""
     w1 = wold.wold_decompose(v1, depth)
     w2 = wold.wold_decompose(v2, depth)
-    window = [HVector([(idx, 1.0)]) for idx in v1.window_indices(depth)]
-    u1 = list(w1.unitary_window_basis)
-    u2 = list(w2.unitary_window_basis)
+    window = tuple(HVector([(idx, 1.0)]) for idx in v1.window_indices(depth))
+    u1, u2 = w1.unitary_window_basis, w2.unitary_window_basis
     s1 = _linalg.intersect_spans(window, w1.orbit_vectors)
     s2 = _linalg.intersect_spans(window, w2.orbit_vectors)
-    parts = (_linalg.intersect_spans(u1, u2), _linalg.intersect_spans(u1, s2),
-             _linalg.intersect_spans(s1, u2))
+    parts = tuple(tuple(_linalg.intersect_spans(a, b))
+                  for a, b in ((u1, u2), (u1, s2), (s1, u2)))
     return w1, w2, window, parts
 
 
 def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
                    depth: int = DEFAULT_DEPTH) -> PairReport:
     _require_commuting(v1, v2, depth)
-    w1, w2, window, (uu, us, su) = _unitary_type_parts(v1, v2, depth)
+    w1, w2, window, (uu, us, su) = _unitary_type_parts(v1, v2, depth,
+                                                       tolerance())
     ws = _linalg.complement_basis(window, uu + us + su)
 
     exact = w1.exact and w2.exact
@@ -306,8 +312,7 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
         if c1.is_true and c2.is_true:
             cert = true_certificate(depth, exact=exact)
         else:
-            bad = c1 if not c1.is_true else c2
-            cert = bad
+            cert = c1 if not c1.is_true else c2
         return PairPart(tuple(basis), cert)
 
     def generators(wres, ws_basis):
@@ -371,7 +376,9 @@ def is_completely_non_doubly_commuting(v1: StructuredIsometry,
     the lane components of the pair (the components of the lane graph whose
     edges are the tail rules and cross-lane columns of both operators).
     The whole space and the components are read off one cross-commutator
-    table.
+    table.  The unitary-type parts are the window bases at depth ``window``
+    that ``pair_decompose(v1, v2, window)`` reports, so a part that the
+    decomposition shows is never denied here.
 
     A true verdict is a certificate relative to that family, reported with
     ``exact=False``; false verdicts carry the witnessing subspace.
@@ -380,7 +387,7 @@ def is_completely_non_doubly_commuting(v1: StructuredIsometry,
     failing = _failing_lanes(v1, v2)
     if not failing:
         return false_certificate(window, ("subspace", "whole space"))
-    *_, parts = _unitary_type_parts(v1, v2, min(window, CNDC_DEPTH))
+    *_, parts = _unitary_type_parts(v1, v2, window, tolerance())
     for label, basis in zip(("uu", "us", "su"), parts):
         if basis:
             return false_certificate(window, ("subspace", label))

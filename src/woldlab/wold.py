@@ -316,8 +316,6 @@ def shift_orbit_vectors(op: StructuredIsometry, kernel_basis, depth: int,
 
 def wold_decompose(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
                    orbit_depth: int | None = None) -> WoldResult:
-    if depth < 1:
-        raise MalformedInputError("depth must be positive")
     kernel = kernel_of_adjoint(v).generators
     window = v.window_indices(depth)
     candidates = [HVector([(idx, 1.0)]) for idx in window]

@@ -319,6 +319,21 @@ def test_wander_rejects_nonpositive_horizon(capsys, horizon):
         assert err == "error: horizon must be positive\n"
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_depth_must_be_positive(tmp_path, capsys, depth):
+    """``wold``, and ``pair`` on a commuting and on a non-commuting pair,
+    refuse the depth with one stderr line, the non-commuting pair too,
+    whose commutation check reads no window."""
+    pair_file = tmp_path / "swap_flip.op"
+    pair_file.write_text(SWAP + "==\n" + FLIP)
+    for argv in (("wold", "--input", "catalog:shift"),
+                 ("pair", "--input", "catalog:pair_shifts_2_3"),
+                 ("pair", "--input", str(pair_file))):
+        code, out, err = run_cli(capsys, *argv, "--depth", depth)
+        assert (code, out, err) == \
+            (cli.INVALID, "", "error: depth must be positive\n"), argv
+
+
 def test_wander_rejects_horizon_above_the_bound(capsys):
     for strong in ((), ("--strong",)):
         code, out, err = run_cli(
@@ -562,3 +577,17 @@ def test_pair_input_as_two_files(tmp_path, capsys):
     for report in reports:
         del report["input"]
     assert reports[0] == reports[1]
+
+
+def test_pair_decomposes_each_operator_once(monkeypatch, capsys):
+    """The CNDC search reads the unitary-type parts that the decomposition
+    built: one Wold decomposition per operator, plus the product's for the
+    weak bi-shift test."""
+    calls = []
+    decompose = wold.wold_decompose
+    monkeypatch.setattr(wold, "wold_decompose",
+                        lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    code, _, _ = run_cli(capsys, "pair", "--input", "catalog:pair_shifts_2_3",
+                         "--depth", "32")
+    assert code == cli.OK
+    assert len(calls) == 3

@@ -10,7 +10,6 @@ from oracle import span_residual_norm
 from samples import catalog_pairs
 from woldlab import catalog, core, pairs, wold
 from woldlab.certificates import false_certificate, true_certificate
-from woldlab.config import CNDC_DEPTH
 from woldlab.core import (
     BasisIndex,
     Closure,
@@ -312,6 +311,30 @@ def test_unitary_operator_forces_double_commutation():
             assert doubly_commutes(v1, v2).is_true, name
 
 
+@pytest.mark.parametrize("failing, owner", [({"v1"}, "v1"), ({"v2"}, "v2"),
+                                            ({"v1", "v2"}, "v1")])
+def test_pair_part_carries_the_failing_reducing_check(monkeypatch, failing,
+                                                      owner):
+    """A part that fails its reducing check carries the failing certificate,
+    V1's when both fail; the other parts stay true."""
+    v1, v2 = catalog.get("pair_fixed_plus_shift").build()
+    uu = [g.items() for g in pair_decompose(v1, v2, 16).uu.basis]
+    assert uu
+    check = wold.reducing_certificate
+
+    def reducing(v, basis, depth):
+        name = "v1" if v is v1 else "v2"
+        if name in failing and [g.items() for g in basis] == uu:
+            return false_certificate(depth, ("failed", name))
+        return check(v, basis, depth)
+
+    monkeypatch.setattr(wold, "reducing_certificate", reducing)
+    report = pair_decompose(v1, v2, 16)
+    assert report.uu.certificate.is_false
+    assert report.uu.certificate.witness == ("failed", owner)
+    assert all(p.certificate.is_true for p in (report.us, report.su, report.ws))
+
+
 # -- completely non doubly commuting ---------------------------------------------------
 
 
@@ -355,6 +378,50 @@ def test_ncdc_search_makes_no_reducing_check(monkeypatch, fixed_plus_shift):
         catalog.unilateral_shift(2), catalog.unilateral_shift(3), 24)
     assert cert.is_true
     assert calls == []
+
+
+def _deep_cycle_shift():
+    """One naturals lane: e_p -> e_(p+1) up to p = 28, e_29 -> e_60, a
+    30-cycle on e_30..e_59, and the tail from 60 on with offset 1.  The
+    unitary part, the cycle, starts at position 30."""
+    columns = {BasisIndex(0, p): basis(0, p + 1) for p in range(29)}
+    columns[BasisIndex(0, 29)] = basis(0, 60)
+    columns.update({BasisIndex(0, p): basis(0, 30 + (p - 29) % 30)
+                    for p in range(30, 60)})
+    return StructuredIsometry([LaneSpec(0, "naturals")], columns,
+                              [TailRule(0, 60, 0, 1)])
+
+
+@pytest.mark.parametrize("window, uu_dim", [(16, 0), (24, 0), (32, 2),
+                                            (64, 30)])
+def test_ncdc_reads_the_parts_the_report_shows(window, uu_dim):
+    """The search denies no unitary-type part that the pair decomposition at
+    the same window shows, however deep the part starts."""
+    v = _deep_cycle_shift()
+    assert pair_decompose(v, v, window).uu.dim == uu_dim
+    cert = is_completely_non_doubly_commuting(v, v, window)
+    if uu_dim:
+        assert (cert.verdict, cert.witness, cert.exact) == \
+            ("false", ("subspace", "uu"), True)
+    else:
+        assert (cert.verdict, cert.exact) == ("true", False)
+
+
+def test_unitary_type_parts_are_built_once_per_tolerance(monkeypatch):
+    """The decomposition and the CNDC search on the same operators and
+    window decompose each operator once; under another working tolerance,
+    which the orbit certificates depend on, the parts are built again."""
+    v1, v2 = catalog.get("pair_shifts_2_3").build()
+    calls = []
+    decompose = wold.wold_decompose
+    monkeypatch.setattr(wold, "wold_decompose",
+                        lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    pair_decompose(v1, v2, 16)
+    assert is_completely_non_doubly_commuting(v1, v2, 16).is_true
+    assert len(calls) == 2
+    monkeypatch.setenv("WOLDLAB_TOLERANCE", "1e-10")
+    pair_decompose(v1, v2, 16)
+    assert len(calls) == 4
 
 
 # -- lane-component search against the 2^n subset scan ------------------------------
@@ -446,7 +513,7 @@ def _brute_force_lanes(v1, v2, window):
 def _brute_force_ncdc(v1, v2, window):
     if doubly_commutes(v1, v2, window).is_true:
         return false_certificate(window, ("subspace", "whole space"))
-    report = pair_decompose(v1, v2, depth=min(window, CNDC_DEPTH))
+    report = pair_decompose(v1, v2, depth=window)
     for label in ("uu", "us", "su"):
         if getattr(report, label).dim > 0:
             return false_certificate(window, ("subspace", label))

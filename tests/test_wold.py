@@ -168,6 +168,13 @@ def test_nonpositive_horizon_rejected(shift, check, horizon):
         check(shift, basis(0, 0), horizon)
 
 
+@pytest.mark.parametrize("analysis", [wold_decompose, strongly_wandering_span])
+@pytest.mark.parametrize("depth", [0, -2])
+def test_nonpositive_depth_rejected(bilateral, analysis, depth):
+    with pytest.raises(MalformedInputError, match="depth must be positive"):
+        analysis(bilateral, depth)
+
+
 @pytest.mark.parametrize("check", [is_wandering, is_strongly_wandering])
 def test_horizon_above_the_bound_rejected(shift, check):
     with pytest.raises(MalformedInputError, match=f"at most {MAX_HORIZON}"):
