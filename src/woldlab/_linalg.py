@@ -506,10 +506,10 @@ def _units(*families):
     return out
 
 
-def _unit_vectors(u: _Units, prune: float = PRUNE_TOL) -> list[HVector]:
+def _unit_vectors(u: _Units) -> list[HVector]:
     """The vectors of ``u`` (columns ascending), entries at or below
-    ``prune`` in modulus dropped."""
-    keep = np.abs(u.val) > prune
+    ``PRUNE_TOL`` in modulus dropped."""
+    keep = np.abs(u.val) > PRUNE_TOL
     return _vectors(u.size, u.col[keep],
                     [k for k, b in zip(u.key, keep.tolist()) if b],
                     u.val[keep].tolist())
@@ -630,7 +630,10 @@ def orthonormal_span(vectors) -> list[HVector]:
 
 
 def complement_basis(candidates, constraints) -> list[HVector]:
-    """Orthonormal basis of span(candidates) ∩ span(constraints)^⊥.
+    """Orthonormal basis of the projection of span(candidates) onto
+    span(constraints)^⊥: the new directions the candidates add to the
+    constraints, which is not the intersection of the two (for candidate
+    (e0 + e1)/√2 against e0 it is e1, where the intersection is {0}).
 
     Candidates are swept in order; whatever survives orthogonalization
     against the constraints (and the part already kept) is added.

@@ -41,7 +41,7 @@ _SQRT_HALF = 0.7071067811865476
 # -- structured operators -----------------------------------------------------
 
 
-def unilateral_shift(step: int = 1, name: str | None = None) -> StructuredIsometry:
+def unilateral_shift(step: int = 1) -> StructuredIsometry:
     """e_n -> e_{n+step} on one naturals lane (the shift of multiplicity
     ``step``)."""
     if step < 1:
@@ -50,19 +50,17 @@ def unilateral_shift(step: int = 1, name: str | None = None) -> StructuredIsomet
         [LaneSpec(0, "naturals", label="e")],
         {},
         [TailRule(0, 0, 0, step)],
-        name=name or ("S" if step == 1 else f"S^{step}"),
+        name="S" if step == 1 else f"S^{step}",
     )
 
 
-def bilateral_shift(step: int = 1, name: str | None = None) -> StructuredIsometry:
-    """e_n -> e_{n+step} on one integers lane."""
-    if step < 1:
-        raise MalformedInputError("shift step must be >= 1")
+def bilateral_shift() -> StructuredIsometry:
+    """e_n -> e_{n+1} on one integers lane."""
     return StructuredIsometry(
         [LaneSpec(0, "integers", label="e")],
         {},
-        [TailRule(0, 0, 0, step)],
-        name=name or ("B" if step == 1 else f"B^{step}"),
+        [TailRule(0, 0, 0, 1)],
+        name="B",
     )
 
 
@@ -80,19 +78,14 @@ def example_fixed_plus_shift() -> StructuredIsometry:
     )
 
 
-def cycle_plus_shift(cycle: int = 2) -> StructuredIsometry:
-    """A finite cyclic permutation lane direct-summed with a shift lane."""
-    if cycle < 2:
-        raise MalformedInputError("cycle size must be >= 2")
-    columns = {
-        BasisIndex(0, p): HVector.basis(0, (p + 1) % cycle)
-        for p in range(cycle)
-    }
+def cycle_plus_shift() -> StructuredIsometry:
+    """The swap of a two-element lane direct-summed with a shift lane."""
     return StructuredIsometry(
-        [LaneSpec(0, "finite", cycle, label="c"), LaneSpec(1, "naturals", label="e")],
-        columns,
+        [LaneSpec(0, "finite", 2, label="c"), LaneSpec(1, "naturals", label="e")],
+        {BasisIndex(0, 0): HVector.basis(0, 1),
+         BasisIndex(0, 1): HVector.basis(0, 0)},
         [TailRule(1, 0, 1, 1)],
-        name=f"C{cycle}+S",
+        name="C2+S",
     )
 
 
@@ -172,15 +165,12 @@ def example_kerchy(alpha: Arc | None = None) -> SpectralUnitary:
     return SpectralUnitary(pieces, name="kerchy")
 
 
-def arc_restriction(alpha: Arc | None = None) -> SpectralUnitary:
-    """Multiplication by z restricted to a proper subarc: a reducing slice of
-    a bilateral shift that is not itself a bilateral shift (its spectrum does
-    not fill the circle)."""
-    if alpha is None:
-        alpha = Arc(Fraction(0), Fraction(1, 2))
-    if alpha.is_full:
-        raise MalformedInputError("the restriction arc must be proper")
-    return SpectralUnitary((alpha,), name="arc_restriction")
+def arc_restriction() -> SpectralUnitary:
+    """Multiplication by z restricted to the upper half circle: a reducing
+    slice of a bilateral shift that is not itself a bilateral shift (its
+    spectrum does not fill the circle)."""
+    return SpectralUnitary((Arc(Fraction(0), Fraction(1, 2)),),
+                           name="arc_restriction")
 
 
 @dataclass(frozen=True)
@@ -248,8 +238,8 @@ class CatalogEntry:
     expected: dict = field(default_factory=dict)
 
 
-def _v(lane, position, re=1.0, im=0.0):
-    return [{"lane": lane, "position": position, "re": re, "im": im}]
+def _v(lane, position):
+    return [{"lane": lane, "position": position, "re": 1.0, "im": 0.0}]
 
 
 _ENTRIES: list[CatalogEntry] = [

@@ -46,8 +46,8 @@ class Certificate:
         return self.verdict == UNDECIDED
 
 
-def true_certificate(horizon, exact, witness=None) -> Certificate:
-    return Certificate(TRUE, witness, horizon, exact)
+def true_certificate(horizon, exact) -> Certificate:
+    return Certificate(TRUE, None, horizon, exact)
 
 
 def false_certificate(horizon, witness) -> Certificate:
@@ -55,5 +55,5 @@ def false_certificate(horizon, witness) -> Certificate:
     return Certificate(FALSE, witness, horizon, True)
 
 
-def undecided_certificate(horizon, witness=None) -> Certificate:
-    return Certificate(UNDECIDED, witness, horizon, False)
+def undecided_certificate(horizon) -> Certificate:
+    return Certificate(UNDECIDED, None, horizon, False)

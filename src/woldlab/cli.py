@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import catalog, fileformat, pairs, serialize, spectral, wold
 from .config import DEFAULT_DEPTH, DEFAULT_HORIZON
-from .core import check_depth, commutes, doubly_commutes
+from .core import commutes, doubly_commutes
 from .errors import WoldlabError
 
 OK, INVALID, UNDECIDED_EXIT = 0, 1, 2
@@ -164,8 +164,6 @@ def _run_wander(args) -> tuple[dict, int]:
 
 def _run_pair(args) -> tuple[dict, int]:
     v1, v2 = _load_pair(args.input)
-    # the commutation check reads no window, so it would take any depth
-    check_depth(args.depth)
     comm = commutes(v1, v2, args.depth)
     report = {
         "command": "pair",

@@ -287,11 +287,10 @@ class Closure:
             raise MalformedInputError("orbit closures must name their operator")
 
 
-def _check_orthonormal(gens: tuple[HVector, ...],
-                       tol: float = SUBSPACE_ORTHONORMAL_TOL) -> None:
+def _check_orthonormal(gens: tuple[HVector, ...]) -> None:
     """Raise on the first generator, in loop order (the norm of i, then the
     pairs (j, i) with j < i), that is not unit or not orthogonal to an
-    earlier one.
+    earlier one, by more than ``SUBSPACE_ORTHONORMAL_TOL``.
 
     Only pairs below the first non-unit generator are reached in that
     order.  The Gram matrix of those generators, one block per component
@@ -301,6 +300,7 @@ def _check_orthonormal(gens: tuple[HVector, ...],
     """
     from ._linalg import overlap_suspects
 
+    tol = SUBSPACE_ORTHONORMAL_TOL
     first_bad = next((i for i, g in enumerate(gens)
                       if abs(g.norm() - 1.0) > tol), len(gens))
     head = gens[:first_bad]
@@ -857,15 +857,11 @@ def lanes_reducing(op: StructuredIsometry, lane_ids) -> bool:
 # -- operations on pairs of operators ------------------------------------------
 
 
-def compose(v: StructuredIsometry, w: StructuredIsometry,
-            name: str | None = None) -> StructuredIsometry:
-    """The product isometry ``x -> v(w(x))`` in structured form.
-
-    Tail rules compose symbolically; positions whose w-image still lands in
-    v's explicit core become explicit columns of the result.
-    """
-    if not v.same_lanes(w):
-        raise CompositionError("operators live on different lane sets")
+def _product_rules(v: StructuredIsometry,
+                   w: StructuredIsometry) -> list[TailRule]:
+    """The tail rules of the product ``x -> v(w(x))``, one per infinite
+    lane in lane order: w's rule followed by the v rule on its target,
+    from the first position whose w-image has left v's explicit core."""
     rules = []
     for lane in w.infinite_lanes:
         rw = w.rule_from(lane.lane_id)
@@ -874,13 +870,20 @@ def compose(v: StructuredIsometry, w: StructuredIsometry,
             threshold = max(rw.threshold, rv.threshold - rw.offset, 0)
         else:
             threshold = max(rw.threshold, rv.threshold + abs(rw.offset), 0)
-        rules.append(TailRule(
-            source_lane=lane.lane_id,
-            threshold=threshold,
-            target_lane=rv.target_lane,
-            offset=rw.offset + rv.offset,
-            phase=rw.phase * rv.phase,
-        ))
+        rules.append(TailRule(lane.lane_id, threshold, rv.target_lane,
+                              rw.offset + rv.offset, rw.phase * rv.phase))
+    return rules
+
+
+def compose(v: StructuredIsometry, w: StructuredIsometry) -> StructuredIsometry:
+    """The product isometry ``x -> v(w(x))`` in structured form.
+
+    Tail rules compose symbolically; positions whose w-image still lands in
+    v's explicit core become explicit columns of the result.
+    """
+    if not v.same_lanes(w):
+        raise CompositionError("operators live on different lane sets")
+    rules = _product_rules(v, w)
     thresholds = {r.source_lane: r.threshold for r in rules}
     columns: dict[BasisIndex, HVector] = {}
     for lane in w.lanes:
@@ -888,40 +891,35 @@ def compose(v: StructuredIsometry, w: StructuredIsometry,
             idx = BasisIndex(lane.lane_id, p)
             columns[idx] = v.apply(w.column(idx))
     try:
-        return StructuredIsometry(v.lanes, columns, rules, name=name)
+        return StructuredIsometry(v.lanes, columns, rules)
     except InvalidOperatorError as exc:
         raise CompositionError(f"composition is malformed: {exc}") from exc
 
 
-def _semantic_difference(a: StructuredIsometry, b: StructuredIsometry,
-                         tol: float) -> BasisIndex | None:
-    """First basis index (symbolic for tails) where two operators differ."""
-    explicit_bound: dict[int, int] = {}
-    for lane in a.infinite_lanes:
-        ra, rb = a.rule_from(lane.lane_id), b.rule_from(lane.lane_id)
-        deep = max(ra.threshold, rb.threshold)
-        if (ra.target_lane, ra.offset) != (rb.target_lane, rb.offset) or \
-                abs(ra.phase - rb.phase) > tol:
-            return BasisIndex(lane.lane_id, deep)
-        explicit_bound[lane.lane_id] = deep
-    for lane in a.lanes:
-        for p in lane.below(explicit_bound.get(lane.lane_id)):
-            idx = BasisIndex(lane.lane_id, p)
-            if not a.column(idx).approx_equals(b.column(idx), tol):
-                return idx
-    return None
-
-
 def commutes(v: StructuredIsometry, w: StructuredIsometry,
              window: int = 64) -> Certificate:
-    """Whether vw = wv; exact, because tail algebra closes symbolically."""
+    """Whether vw = wv; exact, because tail algebra closes symbolically.
+
+    Neither product is built: their tail rules are compared lane by lane,
+    then vw e with wv e at each position e short of the deeper threshold,
+    past which equal rules give equal images."""
+    check_depth(window)
     if not v.same_lanes(w):
         raise MalformedInputError("operators live on different lane sets")
-    vw = compose(v, w)
-    wv = compose(w, v)
-    diff = _semantic_difference(vw, wv, tolerance())
-    if diff is not None:
-        return false_certificate(window, diff)
+    tol = tolerance()
+    deep: dict[int, int] = {}
+    for a, b in zip(_product_rules(v, w), _product_rules(w, v)):
+        lane = a.source_lane
+        deep[lane] = max(a.threshold, b.threshold)
+        if (a.target_lane, a.offset) != (b.target_lane, b.offset) or \
+                abs(a.phase - b.phase) > tol:
+            return false_certificate(window, BasisIndex(lane, deep[lane]))
+    for lane in v.lanes:
+        for p in lane.below(deep.get(lane.lane_id)):
+            idx = BasisIndex(lane.lane_id, p)
+            if not v.apply(w.column(idx)).approx_equals(
+                    w.apply(v.column(idx)), tol):
+                return false_certificate(window, idx)
     return true_certificate(window, exact=True)
 
 

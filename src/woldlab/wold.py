@@ -256,8 +256,8 @@ def forward_orbit(op, x, steps=None, ref_lo=None, ref_hi=None) -> OrbitRecord:
     return _orbit(op, x, steps, ref_lo, ref_hi)
 
 
-def backward_orbit(op, x, steps=None, ref_lo=None, ref_hi=None) -> OrbitRecord:
-    return _orbit(op, x, steps, ref_lo, ref_hi, backward=True)
+def backward_orbit(op, x, steps=None) -> OrbitRecord:
+    return _orbit(op, x, steps, None, None, backward=True)
 
 
 # -- Wold decomposition ----------------------------------------------------
@@ -734,8 +734,8 @@ def reducing_certificate(v: StructuredIsometry, basis, depth: int) -> Certificat
     return true_certificate(inner_depth, exact=False)
 
 
-def strongly_wandering_span(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
-                            horizon: int | None = None) -> Subspace:
+def strongly_wandering_span(v: StructuredIsometry,
+                            depth: int = DEFAULT_DEPTH) -> Subspace:
     """Window span of certified strongly wandering vectors.
 
     Candidates are the canonical window vectors plus the kernel orbit
@@ -744,13 +744,15 @@ def strongly_wandering_span(v: StructuredIsometry, depth: int = DEFAULT_DEPTH,
     working tolerance, so a candidate whose entries repeat an earlier one
     bit for bit (as V^n w repeats a window unit when w is a plain unit)
     reuses its answer.  A repeat still enters the family that is
-    orthonormalized, so the generators keep their bits.  The default
-    horizon tracks the depth so that the backward orbits of deep window
-    vectors still die out inside it; from depth 512 on it exceeds
-    ``MAX_HORIZON`` and the call is refused.
+    orthonormalized, so the generators keep their bits.  The horizon is
+    depth + 1, so that the backward orbits of deep window vectors still die
+    out inside it; a depth that would take it past ``MAX_HORIZON`` is
+    refused before any work.
     """
-    if horizon is None:
-        horizon = depth + 1
+    horizon = depth + 1
+    if horizon > MAX_HORIZON:
+        raise MalformedInputError(
+            f"depth must be at most {MAX_HORIZON - 1}, got {depth}")
     window = v.window_indices(depth)
     window_set = set(window)
     kernel = kernel_of_adjoint(v).generators

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import operator_texts, spectral_texts, vector_literals
-from woldlab import catalog, cli, wold
+from woldlab import catalog, cli, pairs, wold
 from woldlab.config import MAX_WINDOW
+from woldlab.core import StructuredIsometry
 
 
 def run_cli(capsys, *args):
@@ -591,3 +592,19 @@ def test_pair_decomposes_each_operator_once(monkeypatch, capsys):
                          "--depth", "32")
     assert code == cli.OK
     assert len(calls) == 3
+
+
+def test_pair_builds_one_product(monkeypatch, capsys):
+    """A `pair` query builds the two operators and the one product that the
+    weak bi-shift test analyses; its five commutation checks build none."""
+    built, composed = [], []
+    init, compose = StructuredIsometry.__init__, pairs.compose
+    monkeypatch.setattr(
+        StructuredIsometry, "__init__",
+        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(pairs, "compose",
+                        lambda *a: composed.append(a) or compose(*a))
+    code, _, _ = run_cli(capsys, "pair", "--input", "catalog:pair_shifts_2_3",
+                         "--depth", "64")
+    assert code == cli.OK
+    assert (len(built), len(composed)) == (3, 1)

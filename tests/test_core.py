@@ -312,6 +312,32 @@ def test_non_commuting_pair_detected(fixed_plus_shift):
     assert cert.is_false and cert.witness is not None
 
 
+def test_commutes_compares_columns_short_of_the_deeper_threshold():
+    """V e_0 = -e_1 and V e_n = e_(n+1) otherwise, against the shift W:
+    VW keeps its tail from position 0, WV only from 1, and the two differ
+    at e_0 alone, which only WV holds as an explicit column."""
+    v = StructuredIsometry([LaneSpec(0, "naturals")],
+                           {BasisIndex(0, 0): basis(0, 1, -1.0)},
+                           [TailRule(0, 1, 0, 1)])
+    for pair in ((v, S()), (S(), v)):
+        cert = commutes(*pair)
+        assert cert.is_false and cert.witness == BasisIndex(0, 0)
+
+
+def test_commutes_validates_neither_product():
+    """A column of norm 1 + 0.9e-9 passes validation at the working
+    tolerance, but its square in V∘V does not.  The commutation check
+    builds no product, so the operator commutes with itself."""
+    op = StructuredIsometry(
+        [LaneSpec(0, "finite", 1), LaneSpec(1, "naturals")],
+        {BasisIndex(0, 0): basis(0, 0, 1 + 0.9e-9)},
+        [TailRule(1, 0, 1, 1)])
+    with pytest.raises(CompositionError, match="not unit"):
+        compose(op, op)
+    cert = commutes(op, op)
+    assert cert.is_true and cert.exact
+
+
 def test_doubly_commutes_examples(bilateral):
     cert = doubly_commutes(S(2), S(3))
     assert cert.is_false

@@ -160,6 +160,19 @@ def test_complement_basis_matches_reference(name, seed):
         assert r.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_complement_basis_projects_instead_of_intersecting():
+    """(e0 + e1)/√2 against e0 gives e1, the part of the candidate
+    orthogonal to the constraint, although its span meets span(e0)^⊥ only
+    in {0}."""
+    e0, e1 = BasisIndex(0, 0), BasisIndex(0, 1)
+    half = 0.5 ** 0.5
+    got = _linalg.complement_basis([HVector([(e0, half), (e1, half)])],
+                                   [HVector([(e0, 1.0)])])
+    assert len(got) == 1
+    assert got[0].support() == [e1]
+    assert abs(got[0].coefficient(e1)) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", FAMILIES)
 def test_intersect_spans_matches_reference(name, seed):

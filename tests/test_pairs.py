@@ -24,7 +24,11 @@ from woldlab.core import (
     lane_components,
     lanes_reducing,
 )
-from woldlab.errors import InvalidOperatorError, PreconditionError
+from woldlab.errors import (
+    InvalidOperatorError,
+    MalformedInputError,
+    PreconditionError,
+)
 from woldlab.pairs import (
     _doubly_commuting_component,
     exhaust_h0,
@@ -183,12 +187,12 @@ def _counted_work(monkeypatch):
 def test_exhaust_closure_step_repeats_no_check(monkeypatch, fixed_plus_shift):
     """The closure step checks neither commutation nor reducing: the two
     reducing checks are those of the two wandering-span decompositions, and
-    the operators built are the commutation check's two products and the
-    two restrictions to the unpeeled lane."""
+    the operators built are the two restrictions to the unpeeled lane (the
+    commutation check builds no product)."""
     calls = _counted_work(monkeypatch)
     res = exhaust_h0(fixed_plus_shift, fixed_plus_shift, depth=24)
     assert res.peeled_lanes == (0,)
-    assert calls == {"commutes": 1, "compose": 2, "operators": 4,
+    assert calls == {"commutes": 1, "compose": 0, "operators": 2,
                      "restrictions": 2, "reducing_certificate": 2}
 
 
@@ -552,14 +556,41 @@ def test_component_search_matches_subset_scan():
 
 
 def test_ncdc_checks_commutation_once_and_restricts_nothing(monkeypatch):
-    """One commutation check (two products) per call, and the component
-    search reads the cross-commutator table instead of restricting."""
+    """One commutation check per call, which builds no product, and the
+    component search reads the cross-commutator table instead of
+    restricting."""
     random_pairs = [_random_commuting_pair(seed) for seed in range(60)]
     calls = _counted_work(monkeypatch)
     for v1, v2 in random_pairs:
         is_completely_non_doubly_commuting(v1, v2, 8)
-    assert calls == {"commutes": 60, "compose": 120, "operators": 120,
+    assert calls == {"commutes": 60, "compose": 0, "operators": 0,
                      "restrictions": 0, "reducing_certificate": 0}
+
+
+def test_commutation_check_builds_no_operator(monkeypatch):
+    """``commutes`` compares VW and WV in place: on the catalog pairs and
+    on random commuting pairs it composes nothing and builds no operator."""
+    checked = [pair for _, pair in catalog_pairs()]
+    checked += [_random_commuting_pair(seed) for seed in range(60)]
+    calls = _counted_work(monkeypatch)
+    for v1, v2 in checked:
+        assert core.commutes(v1, v2).is_true
+    assert calls == {"commutes": len(checked), "compose": 0, "operators": 0,
+                     "restrictions": 0, "reducing_certificate": 0}
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+@pytest.mark.parametrize("analysis", [
+    core.commutes, doubly_commutes, weak_bishift_classify,
+    is_completely_non_doubly_commuting, pair_decompose, exhaust_h0,
+    lambda v1, v2, depth: h0_plus(v1, v2, Subspace([]), depth),
+])
+def test_pair_analyses_refuse_a_nonpositive_depth(analysis, depth):
+    """The commutation check that opens every pair analysis refuses the
+    depth, also where the answer reads no window."""
+    v1, v2 = catalog.grid_pair()
+    with pytest.raises(MalformedInputError, match="depth must be positive"):
+        analysis(v1, v2, depth)
 
 
 def test_component_search_rebuilds_no_operator():

@@ -457,6 +457,31 @@ def test_components_the_vector_misses_are_not_restricted():
     assert op.component_restrictions[(0,)] == {}
 
 
+def test_overflowing_escape_bound_falls_back_to_the_scan(monkeypatch):
+    """The cycle lane of _leaky_cycle(1.75, True) has a column of norm
+    1.75, so the isometry defect is 4.125 and (1 + delta)^512 overflows a
+    float: the escape cut gives up and the whole table is scanned, with the
+    verdict of the plain loop.  (The exactness re-test on the shift lane
+    alone, whose defect is 0, cuts.)"""
+    op = _leaky_cycle(1.75, True)
+    assert op.isometry_defect.bound == pytest.approx(4.125)
+    with pytest.raises(OverflowError):
+        math.expm1(MAX_HORIZON * math.log1p(op.isometry_defect.bound))
+    cuts = []
+    real_cut = wold._escape_cut
+
+    def recorded(v, *args):
+        cuts.append((v, real_cut(v, *args)))
+        return cuts[-1][1]
+    monkeypatch.setattr(wold, "_escape_cut", recorded)
+    x = basis(1, 0)
+    got = is_strongly_wandering(op, x, MAX_HORIZON)
+    assert [cut for v, cut in cuts if v is op] == [False]
+    assert got.is_true and got.exact
+    assert _strong_verdict(got) == \
+        _strong_verdict(loop_strongly_wandering(op, x, MAX_HORIZON))
+
+
 def test_restrictions_are_validated_at_each_tolerance(monkeypatch):
     """The cycle lane of _leaky_cycle(0.99999, True) has a column of norm
     0.99999: its restriction validates under a working tolerance of 1e-3,
@@ -762,6 +787,18 @@ def _span_certifying_every_candidate(v, depth):
 def _bits(vectors):
     return [[(idx, c.real.hex(), c.imag.hex()) for idx, c in g._entries.items()]
             for g in vectors]
+
+
+def test_deep_strong_span_is_refused_before_any_work(monkeypatch, shift):
+    """From depth MAX_HORIZON on the horizon depth + 1 is out of range: the
+    call is refused, naming the depth, before the kernel is computed."""
+    def no_work(*args):
+        raise AssertionError("the kernel was computed")
+    monkeypatch.setattr(wold, "kernel_of_adjoint", no_work)
+    with pytest.raises(MalformedInputError,
+                       match=f"depth must be at most {MAX_HORIZON - 1}, "
+                             f"got {MAX_HORIZON}"):
+        strongly_wandering_span(shift, MAX_HORIZON)
 
 
 def test_strong_span_tests_each_distinct_candidate_once(monkeypatch, shift):
