@@ -34,6 +34,7 @@ from .errors import (
 from .pairs import (
     ExhaustResult,
     H0PlusResult,
+    PairAnalysis,
     PairPart,
     PairReport,
     exhaust_h0,

@@ -464,18 +464,17 @@ def _run_operator(op, key):
     raise MalformedInputError(f"unknown operator regression key {key!r}")
 
 
-def _run_pair(built, key):
-    v1, v2 = built
+def _run_pair(pair, key):
     if key == "commutes":
-        return commutes(v1, v2).verdict
+        return commutes(pair.v1, pair.v2).verdict
     if key == "doubly_commutes":
-        cert = doubly_commutes(v1, v2)
+        cert = doubly_commutes(pair.v1, pair.v2)
         return {"verdict": cert.verdict,
                 "witness": serialize.witness_to_jsonable(cert.witness)}
     if key == "weak_bishift":
-        return pairs_mod.weak_bishift_classify(v1, v2).verdict
+        return pairs_mod.weak_bishift_classify(pair).verdict
     if key == "pair_dims":
-        report = pairs_mod.pair_decompose(v1, v2)
+        report = pairs_mod.pair_decompose(pair)
         return {"uu": report.uu.dim, "us": report.us.dim,
                 "su": report.su.dim, "ws": report.ws.dim}
     raise MalformedInputError(f"unknown pair regression key {key!r}")
@@ -519,5 +518,7 @@ _RUNNERS = {
 def regression_results(entry: CatalogEntry) -> dict:
     """Re-run the analyses named by the entry's expected map."""
     built = entry.build()
+    if entry.kind == "pair":
+        built = pairs_mod.PairAnalysis(*built)
     runner = _RUNNERS[entry.kind]
     return {key: runner(built, key) for key in sorted(entry.expected)}

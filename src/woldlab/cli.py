@@ -176,9 +176,10 @@ def _run_pair(args) -> tuple[dict, int]:
                       decomposition=None, completely_non_doubly_commuting=None)
         return report, (OK if comm.is_false else UNDECIDED_EXIT)
     doubly = doubly_commutes(v1, v2, args.depth)
-    weak = pairs.weak_bishift_classify(v1, v2, args.depth)
-    decomposition = pairs.pair_decompose(v1, v2, args.depth)
-    ncdc = pairs.is_completely_non_doubly_commuting(v1, v2, args.depth)
+    pair = pairs.PairAnalysis(v1, v2, args.depth)
+    weak = pairs.weak_bishift_classify(pair)
+    decomposition = pairs.pair_decompose(pair)
+    ncdc = pairs.is_completely_non_doubly_commuting(pair)
     report.update(
         doubly_commutes=serialize.certificate_to_jsonable(doubly),
         weak_bishift=serialize.certificate_to_jsonable(weak),

@@ -9,8 +9,8 @@ and the flags say when the limit was actually reached.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _linalg, wold
 from .certificates import (
@@ -36,15 +36,60 @@ from .core import (
     cross_commutator,
     lane_components,
 )
-from .errors import PreconditionError
+from .errors import CompositionError, PreconditionError
 
 
-def _require_commuting(v1, v2, depth):
-    cert = commutes(v1, v2, depth)
-    if not cert.is_true:
-        raise PreconditionError(
-            "the operators do not commute", witness=cert.witness
-        )
+class PairAnalysis:
+    """A commuting pair (V1, V2) at one depth and the facts its analyses
+    share.  Building it runs the one commutation check, which refuses a
+    nonpositive depth, and raises ``PreconditionError`` on a pair that does
+    not commute.  Each shared fact is derived on first use, at the working
+    tolerance of that moment, and lives as long as the analysis."""
+
+    def __init__(self, v1: StructuredIsometry, v2: StructuredIsometry,
+                 depth: int = DEFAULT_DEPTH):
+        cert = commutes(v1, v2, depth)
+        if not cert.is_true:
+            raise PreconditionError("the operators do not commute",
+                                    witness=cert.witness)
+        self.v1, self.v2, self.depth = v1, v2, depth
+
+    @cached_property
+    def failing_lanes(self) -> set[int]:
+        """Lanes holding an index at which the cross-commutator is nonzero."""
+        tol = tolerance()
+        return {idx.lane for idx, c in cross_commutator(self.v1, self.v2).items()
+                if c.norm() > tol}
+
+    @cached_property
+    def wandering_span(self) -> wold.WanderingSpanResult:
+        """V1's wandering-span decomposition."""
+        return wold.wandering_span_decompose(self.v1, self.depth)
+
+    @cached_property
+    def wolds(self) -> tuple[wold.WoldResult, wold.WoldResult]:
+        return (wold.wold_decompose(self.v1, self.depth),
+                wold.wold_decompose(self.v2, self.depth))
+
+    @cached_property
+    def window(self) -> tuple[HVector, ...]:
+        return tuple(HVector([(idx, 1.0)])
+                     for idx in self.v1.window_indices(self.depth))
+
+    @cached_property
+    def unitary_type_parts(self) -> tuple[tuple[HVector, ...], ...]:
+        """Window bases of the three unitary-type parts: both unitary, V1
+        unitary with V2 a shift, and V1 a shift with V2 unitary.
+
+        The shift part's window basis is H_s ∩ window: the window
+        combinations lying in the span of the (orthonormal) kernel orbit
+        vectors."""
+        (w1, w2), window = self.wolds, self.window
+        u1, u2 = w1.unitary_window_basis, w2.unitary_window_basis
+        s1 = _linalg.intersect_spans(window, w1.orbit_vectors)
+        s2 = _linalg.intersect_spans(window, w2.orbit_vectors)
+        return tuple(tuple(_linalg.intersect_spans(a, b))
+                     for a, b in ((u1, u2), (u1, s2), (s1, u2)))
 
 
 # -- forward closure of H0 ----------------------------------------------------
@@ -79,13 +124,12 @@ class H0PlusResult:
     depth: int
 
 
-def h0_plus(v1: StructuredIsometry, v2: StructuredIsometry, h0: Subspace,
-            depth: int = DEFAULT_DEPTH) -> H0PlusResult:
+def h0_plus(pair: PairAnalysis, h0: Subspace) -> H0PlusResult:
     """Span of V2^n H0 for n = 0..depth, certified V1/V2-reducing with V1
     unitary on it.  H0 must sit inside the wandering-span residual of V1."""
-    _require_commuting(v1, v2, depth)
+    v1, v2, depth = pair.v1, pair.v2, pair.depth
     if h0.generators:
-        residual = wold.wandering_span_decompose(v1, depth).h0.generators
+        residual = pair.wandering_span.h0.generators
         residuals = _linalg.orthogonal_residual(h0.generators, residual)
         if any(r.norm() > H0_MEMBERSHIP_TOL for r in residuals):
             raise PreconditionError(
@@ -131,18 +175,16 @@ def _finite_lane_cover(op: StructuredIsometry, basis) -> set[int] | None:
     return set(hit)
 
 
-def exhaust_h0(v1: StructuredIsometry, v2: StructuredIsometry,
-               depth: int = DEFAULT_DEPTH) -> ExhaustResult:
+def exhaust_h0(pair: PairAnalysis) -> ExhaustResult:
     """Repeat wandering-span decomposition + forward closure on shrinking
     complements until the closure is trivial.  H1 is the window of what is
     left, empty once every lane is peeled.  A pass that does not stop
     peels at least one whole lane, so the passes end."""
-    _require_commuting(v1, v2, depth)
-    current1, current2 = v1, v2
+    current1, current2, depth = pair.v1, pair.v2, pair.depth
+    wsd = pair.wandering_span
     peeled: list[int] = []
     iterations, exact = 0, False
     while True:
-        wsd = wold.wandering_span_decompose(current1, depth)
         if wsd.h0.dim == 0:
             exact = not wsd.certificate.is_undecided
             break
@@ -161,6 +203,7 @@ def exhaust_h0(v1: StructuredIsometry, v2: StructuredIsometry,
             break
         current1 = current1.restricted_to_lanes(keep)
         current2 = current2.restricted_to_lanes(keep)
+        wsd = wold.wandering_span_decompose(current1, depth)
     window = [] if current1 is None else current1.window_indices(depth)
     return ExhaustResult(
         Subspace([HVector([(idx, 1.0)]) for idx in window], Closure()),
@@ -213,30 +256,26 @@ def _joint_shift_core(inner_op: StructuredIsometry,
             return [], steps
 
 
-def weak_bishift_classify(v1: StructuredIsometry, v2: StructuredIsometry,
-                          depth: int = DEFAULT_DEPTH) -> Certificate:
+def weak_bishift_classify(pair: PairAnalysis) -> Certificate:
     """True iff V1 restricted to ∩ker(V2* V1^i), V2 restricted to
     ∩ker(V1* V2^i), and the product V1 V2 are all unilateral shifts.
 
     The two intersection spaces are finite dimensional here (the structured
     form has finite defect), so their restrictions are unitary whenever they
     are nonzero; being a shift then means being {0}.  The product is tested
-    through its Wold decomposition.
+    through its Wold decomposition, undecided when the product of two
+    valid operators fails validation (their column norm errors add up).
     """
-    _require_commuting(v1, v2, depth)
-    k2, _ = _joint_shift_core(v1, v2)
-    if k2:
-        lead = k2[0].support()[0]
-        return false_certificate(
-            depth, ("restriction_unitary", "v1", lead)
-        )
-    k1, _ = _joint_shift_core(v2, v1)
-    if k1:
-        lead = k1[0].support()[0]
-        return false_certificate(
-            depth, ("restriction_unitary", "v2", lead)
-        )
-    product = compose(v1, v2)
+    v1, v2, depth = pair.v1, pair.v2, pair.depth
+    for name, inner_op, outer_op in (("v1", v1, v2), ("v2", v2, v1)):
+        k, _ = _joint_shift_core(inner_op, outer_op)
+        if k:
+            return false_certificate(
+                depth, ("restriction_unitary", name, k[0].support()[0]))
+    try:
+        product = compose(v1, v2)
+    except CompositionError:
+        return undecided_certificate(depth)
     wres = wold.wold_decompose(product, depth)
     if wres.unitary_window_basis:
         lead = wres.unitary_window_basis[0].support()[0]
@@ -274,35 +313,10 @@ class PairReport:
     exact: bool
 
 
-@functools.lru_cache(maxsize=1)
-def _unitary_type_parts(v1, v2, depth, tol):
-    """Both Wold decompositions, the window units, and the window bases of
-    the three unitary-type parts: both unitary, V1 unitary with V2 a shift,
-    and V1 a shift with V2 unitary.
-
-    The shift part's window basis is H_s ∩ window: the window combinations
-    lying in the span of the (orthonormal) kernel orbit vectors.
-
-    The decomposition and the CNDC search both read it, so the last answer
-    is kept, in tuples that no caller can change.  Operators are keyed by
-    identity; ``tol`` is the working tolerance the orbit certificates use."""
-    w1 = wold.wold_decompose(v1, depth)
-    w2 = wold.wold_decompose(v2, depth)
-    window = tuple(HVector([(idx, 1.0)]) for idx in v1.window_indices(depth))
-    u1, u2 = w1.unitary_window_basis, w2.unitary_window_basis
-    s1 = _linalg.intersect_spans(window, w1.orbit_vectors)
-    s2 = _linalg.intersect_spans(window, w2.orbit_vectors)
-    parts = tuple(tuple(_linalg.intersect_spans(a, b))
-                  for a, b in ((u1, u2), (u1, s2), (s1, u2)))
-    return w1, w2, window, parts
-
-
-def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
-                   depth: int = DEFAULT_DEPTH) -> PairReport:
-    _require_commuting(v1, v2, depth)
-    w1, w2, window, (uu, us, su) = _unitary_type_parts(v1, v2, depth,
-                                                       tolerance())
-    ws = _linalg.complement_basis(window, uu + us + su)
+def pair_decompose(pair: PairAnalysis) -> PairReport:
+    v1, v2, depth = pair.v1, pair.v2, pair.depth
+    (w1, w2), (uu, us, su) = pair.wolds, pair.unitary_type_parts
+    ws = _linalg.complement_basis(pair.window, uu + us + su)
 
     exact = w1.exact and w2.exact
 
@@ -333,20 +347,9 @@ def pair_decompose(v1: StructuredIsometry, v2: StructuredIsometry,
 # -- completely non doubly commuting ---------------------------------------------
 
 
-def _failing_lanes(v1: StructuredIsometry, v2: StructuredIsometry) -> set[int]:
-    """Lanes holding an index at which the cross-commutator of the
-    commuting pair is nonzero."""
-    tol = tolerance()
-    return {idx.lane for idx, c in cross_commutator(v1, v2).items()
-            if c.norm() > tol}
-
-
-def _doubly_commuting_component(v1: StructuredIsometry,
-                                 v2: StructuredIsometry,
-                                 failing: set[int] | None = None
-                                 ) -> tuple[int, ...] | None:
+def _doubly_commuting_component(pair: PairAnalysis) -> tuple[int, ...] | None:
     """First proper lane component of the pair, by largest lane id, on which
-    the pair doubly commutes; ``failing`` are the pair's ``_failing_lanes``.
+    the pair doubly commutes.
 
     The lane sets reducing both operators are exactly the unions of the
     components of their joint lane graph, and a pair doubly commutes on an
@@ -356,42 +359,35 @@ def _doubly_commuting_component(v1: StructuredIsometry,
     the pair's cross-commutator restricts to each component's: a component
     doubly commutes exactly when none of its lanes fails.
     """
-    components = lane_components(v1, v2)
+    components = lane_components(pair.v1, pair.v2)
     if len(components) < 2:
         return None
-    if failing is None:
-        failing = _failing_lanes(v1, v2)
     for component in sorted(components, key=max):
-        if failing.isdisjoint(component):
+        if pair.failing_lanes.isdisjoint(component):
             return component
     return None
 
 
-def is_completely_non_doubly_commuting(v1: StructuredIsometry,
-                                       v2: StructuredIsometry,
-                                       window: int = DEFAULT_DEPTH) -> Certificate:
+def is_completely_non_doubly_commuting(pair: PairAnalysis) -> Certificate:
     """Search for a nonzero reducing subspace on which the pair doubly
     commutes: the whole space, the unitary-type parts of the pair
     decomposition (commuting with a unitary forces double commutation), and
     the lane components of the pair (the components of the lane graph whose
     edges are the tail rules and cross-lane columns of both operators).
     The whole space and the components are read off one cross-commutator
-    table.  The unitary-type parts are the window bases at depth ``window``
-    that ``pair_decompose(v1, v2, window)`` reports, so a part that the
-    decomposition shows is never denied here.
+    table.  The unitary-type parts are the window bases that
+    ``pair_decompose(pair)`` reports, so a part that the decomposition shows
+    is never denied here.
 
     A true verdict is a certificate relative to that family, reported with
     ``exact=False``; false verdicts carry the witnessing subspace.
     """
-    _require_commuting(v1, v2, window)
-    failing = _failing_lanes(v1, v2)
-    if not failing:
-        return false_certificate(window, ("subspace", "whole space"))
-    *_, parts = _unitary_type_parts(v1, v2, window, tolerance())
-    for label, basis in zip(("uu", "us", "su"), parts):
+    if not pair.failing_lanes:
+        return false_certificate(pair.depth, ("subspace", "whole space"))
+    for label, basis in zip(("uu", "us", "su"), pair.unitary_type_parts):
         if basis:
-            return false_certificate(window, ("subspace", label))
-    component = _doubly_commuting_component(v1, v2, failing)
+            return false_certificate(pair.depth, ("subspace", label))
+    component = _doubly_commuting_component(pair)
     if component is not None:
-        return false_certificate(window, ("lanes", component))
-    return true_certificate(window, exact=False)
+        return false_certificate(pair.depth, ("lanes", component))
+    return true_certificate(pair.depth, exact=False)

@@ -14,7 +14,12 @@ from oracle import DenseWindow, span_residual_norm
 from samples import random_hvector, random_structured_isometry
 from woldlab import catalog, cli
 from woldlab.core import HVector, commutes, doubly_commutes, inner
-from woldlab.pairs import h0_plus, pair_decompose, weak_bishift_classify
+from woldlab.pairs import (
+    PairAnalysis,
+    h0_plus,
+    pair_decompose,
+    weak_bishift_classify,
+)
 from woldlab.spectral import (
     bilateral_cover,
     has_wandering_vector,
@@ -249,7 +254,7 @@ def test_criterion_07_forward_closure_certificates():
         span = wandering_span_decompose(v1, 24)
         if span.certificate.is_undecided:
             continue
-        res = h0_plus(v1, v2, span.h0, 24)
+        res = h0_plus(PairAnalysis(v1, v2, 24), span.h0)
         assert res.v1_reducing.is_true, entry.name
         assert res.v2_reducing.is_true, entry.name
         assert res.v1_unitary_on, entry.name
@@ -259,7 +264,7 @@ def test_criterion_07_forward_closure_certificates():
 
     op = catalog.example_fixed_plus_shift()
     span = wandering_span_decompose(op, 64)
-    res = h0_plus(op, op, span.h0, 64)
+    res = h0_plus(PairAnalysis(op, op, 64), span.h0)
     assert res.certificate.exact
     assert res.subspace.dim == 1
     assert res.subspace.generators[0].approx_equals(basis(0, 0), TOL)
@@ -272,15 +277,15 @@ def test_criterion_08_pair_suite():
     assert commutes(s2, s3).is_true
     d = doubly_commutes(s2, s3)
     assert d.is_false and d.witness == basis(0, 0).support()[0]
-    assert weak_bishift_classify(s2, s3).is_true
-    report = pair_decompose(s2, s3, 32)
+    assert weak_bishift_classify(PairAnalysis(s2, s3)).is_true
+    report = pair_decompose(PairAnalysis(s2, s3, 32))
     assert (report.uu.dim, report.us.dim, report.su.dim) == (0, 0, 0)
 
     g1, g2 = catalog.grid_pair()
     assert doubly_commutes(g1, g2).is_true
 
     b = catalog.bilateral_shift()
-    assert weak_bishift_classify(b, b).is_false
+    assert weak_bishift_classify(PairAnalysis(b, b)).is_false
     _passline(8, "(S^2,S^3), grid and bilateral pair classifications")
 
 

@@ -1,9 +1,11 @@
 """CLI contract: report content, exit codes, format parity, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import operator_texts, spectral_texts, vector_literals
-from woldlab import catalog, cli, pairs, wold
+from woldlab import catalog, cli, core, fileformat, pairs, wold
 from woldlab.config import MAX_WINDOW
 from woldlab.core import StructuredIsometry
 
@@ -596,15 +598,58 @@ def test_pair_decomposes_each_operator_once(monkeypatch, capsys):
 
 def test_pair_builds_one_product(monkeypatch, capsys):
     """A `pair` query builds the two operators and the one product that the
-    weak bi-shift test analyses; its five commutation checks build none."""
-    built, composed = [], []
-    init, compose = StructuredIsometry.__init__, pairs.compose
+    weak bi-shift test analyses.  Its three commutation checks, the report's
+    own, the pair analysis's and the one opening `doubly_commutes`, build
+    none."""
+    built, composed, checked = [], [], []
+    init, compose, commutes = (StructuredIsometry.__init__, pairs.compose,
+                               core.commutes)
     monkeypatch.setattr(
         StructuredIsometry, "__init__",
         lambda self, *a, **k: built.append(a) or init(self, *a, **k))
     monkeypatch.setattr(pairs, "compose",
                         lambda *a: composed.append(a) or compose(*a))
+    for owner in (core, cli, pairs):
+        monkeypatch.setattr(owner, "commutes",
+                            lambda *a: checked.append(a) or commutes(*a))
     code, _, _ = run_cli(capsys, "pair", "--input", "catalog:pair_shifts_2_3",
                          "--depth", "64")
     assert code == cli.OK
-    assert (len(built), len(composed)) == (3, 1)
+    assert (len(built), len(composed), len(checked)) == (3, 1, 3)
+
+
+def test_pair_with_an_invalid_product_is_undecided(tmp_path, capsys):
+    """A column of norm 1 + 0.9e-9 passes validation at the working
+    tolerance, but its square in V1V2 does not: the pair still commutes,
+    the weak bi-shift test is undecided and the report is emitted."""
+    near_unit = ("lane 0 finite 1\nlane 1 naturals\n"
+                 "column 0:0 = 0:0 1.0000000009 0.0\n"
+                 "tail 1 0 -> 1 offset 1 phase 0\n")
+    path = tmp_path / "near.op"
+    path.write_text(near_unit + "==\n" + near_unit)
+    code, out, err = run_cli(capsys, "pair", "--input", str(path),
+                             "--depth", "16", "--format", "json")
+    assert (code, err) == (cli.UNDECIDED_EXIT, "")
+    report = json.loads(out)
+    assert report["commutes"]["verdict"] == "true"
+    assert report["weak_bishift"] == {"verdict": "undecided", "exact": False,
+                                      "horizon": 16, "witness": None}
+
+
+def test_pair_query_keeps_no_operator_alive(monkeypatch, tmp_path, capsys):
+    """Once a `pair` query returns, nothing holds its operators."""
+    refs, parse = [], fileformat.parse_operator
+
+    def parse_tracked(*args, **kwargs):
+        op = parse(*args, **kwargs)
+        refs.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(fileformat, "parse_operator", parse_tracked)
+    path = tmp_path / "s23.op"
+    path.write_text("lane 0 naturals\ntail 0 0 -> 0 offset 2 phase 0\n==\n"
+                    "lane 0 naturals\ntail 0 0 -> 0 offset 3 phase 0\n")
+    code, _, _ = run_cli(capsys, "pair", "--input", str(path), "--depth", "16")
+    assert code == cli.OK
+    gc.collect()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)

@@ -2,7 +2,9 @@
 weak bi-shift classification, the four-part decomposition, and the search
 for doubly-commuting reducing subspaces."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -30,6 +32,7 @@ from woldlab.errors import (
     PreconditionError,
 )
 from woldlab.pairs import (
+    PairAnalysis,
     _doubly_commuting_component,
     exhaust_h0,
     h0_plus,
@@ -48,7 +51,7 @@ basis = HVector.basis
 
 def test_h0_plus_fixed_point(fixed_plus_shift):
     wsd = wandering_span_decompose(fixed_plus_shift, 24)
-    res = h0_plus(fixed_plus_shift, fixed_plus_shift, wsd.h0, 24)
+    res = h0_plus(PairAnalysis(fixed_plus_shift, fixed_plus_shift, 24), wsd.h0)
     assert res.certificate.is_true and res.certificate.exact
     assert res.subspace.dim == 1
     assert res.subspace.generators[0].approx_equals(basis(0, 0))
@@ -59,7 +62,7 @@ def test_h0_plus_fixed_point(fixed_plus_shift):
 def test_h0_plus_cycle_lane():
     op = catalog.cycle_plus_shift()
     wsd = wandering_span_decompose(op, 24)
-    res = h0_plus(op, op, wsd.h0, 24)
+    res = h0_plus(PairAnalysis(op, op, 24), wsd.h0)
     assert res.certificate.is_true
     assert res.subspace.dim == 2
     lanes = {idx.lane for g in res.subspace.generators for idx in g.support()}
@@ -68,7 +71,7 @@ def test_h0_plus_cycle_lane():
 
 
 def test_h0_plus_trivial_input(shift):
-    res = h0_plus(shift, shift, Subspace([], Closure()), 16)
+    res = h0_plus(PairAnalysis(shift, shift, 16), Subspace([], Closure()))
     assert res.subspace.dim == 0
     assert res.certificate.is_true and res.certificate.exact
 
@@ -78,13 +81,13 @@ def test_h0_plus_requires_commuting(fixed_plus_shift):
 
     wsd = wandering_span_decompose(fixed_plus_shift, 16)
     with pytest.raises(PreconditionError):
-        h0_plus(fixed_plus_shift, _swap_f_with_e0(), wsd.h0, 16)
+        h0_plus(PairAnalysis(fixed_plus_shift, _swap_f_with_e0(), 16), wsd.h0)
 
 
 def test_h0_plus_rejects_vectors_outside_residual(fixed_plus_shift):
     outside = Subspace([basis(1, 0)], Closure())
     with pytest.raises(PreconditionError):
-        h0_plus(fixed_plus_shift, fixed_plus_shift, outside, 16)
+        h0_plus(PairAnalysis(fixed_plus_shift, fixed_plus_shift, 16), outside)
 
 
 def test_h0_plus_output_stays_clear_of_shift_part(fixed_plus_shift):
@@ -93,7 +96,7 @@ def test_h0_plus_output_stays_clear_of_shift_part(fixed_plus_shift):
     from woldlab.wold import shift_orbit_vectors, wold_decompose
 
     wsd = wandering_span_decompose(fixed_plus_shift, 24)
-    res = h0_plus(fixed_plus_shift, fixed_plus_shift, wsd.h0, 24)
+    res = h0_plus(PairAnalysis(fixed_plus_shift, fixed_plus_shift, 24), wsd.h0)
     wres = wold_decompose(fixed_plus_shift, 24)
     for orbit in shift_orbit_vectors(fixed_plus_shift, wres.shift_wandering_basis, 24):
         for vec in orbit.vectors:
@@ -105,7 +108,7 @@ def test_h0_plus_output_stays_clear_of_shift_part(fixed_plus_shift):
 
 
 def test_exhaust_fixed_plus_shift(fixed_plus_shift):
-    res = exhaust_h0(fixed_plus_shift, fixed_plus_shift, depth=24)
+    res = exhaust_h0(PairAnalysis(fixed_plus_shift, fixed_plus_shift, depth=24))
     assert res.iterations == 1
     assert res.certificate.is_true
     assert res.peeled_lanes == (0,)
@@ -114,7 +117,7 @@ def test_exhaust_fixed_plus_shift(fixed_plus_shift):
 
 
 def test_exhaust_shift_stops_immediately(shift):
-    res = exhaust_h0(shift, shift, depth=24)
+    res = exhaust_h0(PairAnalysis(shift, shift, depth=24))
     assert res.iterations == 0
     assert res.certificate.is_true
     assert res.h1.dim == 24
@@ -122,7 +125,7 @@ def test_exhaust_shift_stops_immediately(shift):
 
 def test_exhaust_cycle_plus_shift():
     op = catalog.cycle_plus_shift()
-    res = exhaust_h0(op, op, depth=24)
+    res = exhaust_h0(PairAnalysis(op, op, depth=24))
     assert res.iterations == 1
     assert res.peeled_lanes == (0,)
     assert res.certificate.is_true
@@ -134,7 +137,7 @@ def test_exhaust_peels_every_lane_of_a_cycle():
     cycle = StructuredIsometry(
         [LaneSpec(0, "finite", 3)],
         {BasisIndex(0, p): basis(0, (p + 1) % 3) for p in range(3)}, [])
-    res = exhaust_h0(cycle, cycle, depth=8)
+    res = exhaust_h0(PairAnalysis(cycle, cycle, depth=8))
     assert (res.iterations, res.peeled_lanes, res.h1.dim) == (1, (0,), 0)
     assert res.certificate.is_true and res.certificate.exact
 
@@ -142,7 +145,7 @@ def test_exhaust_peels_every_lane_of_a_cycle():
 def test_exhaust_residual_spanned_by_wandering_vectors(fixed_plus_shift):
     """On the residual, the wandering span covers everything: each window
     basis vector of H1 lies in the certified wandering span."""
-    res = exhaust_h0(fixed_plus_shift, fixed_plus_shift, depth=24)
+    res = exhaust_h0(PairAnalysis(fixed_plus_shift, fixed_plus_shift, depth=24))
     rest = fixed_plus_shift.restricted_to_lanes(
         [l.lane_id for l in fixed_plus_shift.lanes
          if l.lane_id not in res.peeled_lanes]
@@ -156,8 +159,61 @@ def test_exhaust_residual_spanned_by_wandering_vectors(fixed_plus_shift):
 
 def test_exhaust_undecided_on_lingering_core():
     op = catalog.lingering_core()
-    res = exhaust_h0(op, op, depth=24)
+    res = exhaust_h0(PairAnalysis(op, op, depth=24))
     assert res.certificate.is_undecided
+
+
+def _identity_and_shift():
+    lanes = [LaneSpec(0, "naturals")]
+    return tuple(StructuredIsometry(lanes, {}, [TailRule(0, 0, 0, offset)])
+                 for offset in (0, 1))
+
+
+def test_h0_plus_undecided_while_the_closure_grows():
+    """Every vector is in the identity's wandering-span residual, and the
+    shift adds a new direction to the closure at every step."""
+    identity, shift = _identity_and_shift()
+    res = h0_plus(PairAnalysis(identity, shift, 8),
+                  Subspace([basis(0, 0)], Closure()))
+    assert res.certificate.is_undecided
+    assert res.subspace.dim == 9
+
+
+def _unpeelable_pair(case):
+    from test_core import _conjugated_pair
+
+    identity, shift = _identity_and_shift()
+    if case == "open closure":
+        return identity, shift
+    if case == "infinite lane":
+        return identity, identity
+    if case == "part of a finite lane":
+        # f fixed, g -> e_0 -> e_1 -> ...: H0 is f alone, half of lane 0
+        op = StructuredIsometry(
+            [LaneSpec(0, "finite", 2), LaneSpec(1, "naturals")],
+            {BasisIndex(0, 0): basis(0, 0), BasisIndex(0, 1): basis(1, 0)},
+            [TailRule(1, 0, 1, 1)])
+        return op, op
+    # I + S conjugated by a rotation of e_(0,0), e_(1,0): H0 starts with
+    # their normalized sum, which is no basis vector
+    half = 0.5 ** 0.5
+    mixed = [HVector([(BasisIndex(0, 0), half), (BasisIndex(1, 0), sign)])
+             for sign in (half, -half)]
+    _, op = _conjugated_pair(mixed + [basis(0, 1), basis(1, 1)])
+    return op, op
+
+
+@pytest.mark.parametrize("case", ["open closure", "infinite lane",
+                                  "part of a finite lane", "mixed vectors"])
+def test_exhaust_stops_at_a_peel_that_is_not_whole_finite_lanes(case):
+    """A closure that stays open, or that is not spanned by the units of
+    whole finite lanes, has no structured complement: nothing is peeled and
+    the window is left, undecided."""
+    v1, v2 = _unpeelable_pair(case)
+    res = exhaust_h0(PairAnalysis(v1, v2, 8))
+    assert (res.iterations, res.peeled_lanes) == (0, ())
+    assert res.certificate.is_undecided
+    assert res.h1.dim == len(v1.window_indices(8))
 
 
 def _counted_work(monkeypatch):
@@ -190,7 +246,7 @@ def test_exhaust_closure_step_repeats_no_check(monkeypatch, fixed_plus_shift):
     the operators built are the two restrictions to the unpeeled lane (the
     commutation check builds no product)."""
     calls = _counted_work(monkeypatch)
-    res = exhaust_h0(fixed_plus_shift, fixed_plus_shift, depth=24)
+    res = exhaust_h0(PairAnalysis(fixed_plus_shift, fixed_plus_shift, depth=24))
     assert res.peeled_lanes == (0,)
     assert calls == {"commutes": 1, "compose": 0, "operators": 2,
                      "restrictions": 2, "reducing_certificate": 2}
@@ -200,16 +256,16 @@ def test_exhaust_closure_step_repeats_no_check(monkeypatch, fixed_plus_shift):
 
 
 def test_weak_bishift_shift_powers():
-    cert = weak_bishift_classify(S(2), S(3))
+    cert = weak_bishift_classify(PairAnalysis(S(2), S(3)))
     assert cert.is_true and cert.exact
 
 
 def test_weak_bishift_shift_with_itself(shift):
-    assert weak_bishift_classify(shift, shift).is_true
+    assert weak_bishift_classify(PairAnalysis(shift, shift)).is_true
 
 
 def test_weak_bishift_bilateral_false(bilateral):
-    cert = weak_bishift_classify(bilateral, bilateral)
+    cert = weak_bishift_classify(PairAnalysis(bilateral, bilateral))
     assert cert.is_false
     assert cert.witness is not None
 
@@ -218,9 +274,9 @@ def test_weak_bishift_consistency_with_decomposition():
     """Catalog pairs with trivial unitary-type parts classify as weak
     bi-shifts."""
     for name, (v1, v2) in catalog_pairs():
-        report = pair_decompose(v1, v2, 16)
+        report = pair_decompose(PairAnalysis(v1, v2, 16))
         trivial = (report.uu.dim == report.us.dim == report.su.dim == 0)
-        verdict = weak_bishift_classify(v1, v2).is_true
+        verdict = weak_bishift_classify(PairAnalysis(v1, v2)).is_true
         if trivial:
             assert verdict, name
 
@@ -246,7 +302,7 @@ def test_weak_bishift_first_restriction_unitary(seed, lead):
     nonzero unitary: that space is V1-invariant, inside ker V2*, and its
     first vector leads the witness."""
     w, v = _random_commuting_pair(seed)
-    cert = weak_bishift_classify(v, w, 16)
+    cert = weak_bishift_classify(PairAnalysis(v, w, 16))
     assert cert.is_false
     assert cert.witness == ("restriction_unitary", "v1", lead)
     core, _ = pairs._joint_shift_core(v, w)
@@ -260,7 +316,7 @@ def test_weak_bishift_first_restriction_unitary(seed, lead):
 
 
 def test_pair_decompose_parallel_shifts(shift):
-    report = pair_decompose(shift, shift, 16)
+    report = pair_decompose(PairAnalysis(shift, shift, 16))
     assert (report.uu.dim, report.us.dim, report.su.dim) == (0, 0, 0)
     assert report.ws.dim == 16
     assert len(report.wandering_generators["v1"]) == 16
@@ -269,7 +325,7 @@ def test_pair_decompose_parallel_shifts(shift):
 
 def test_pair_decompose_cycle_plus_shift():
     op = catalog.cycle_plus_shift()
-    report = pair_decompose(op, op, 16)
+    report = pair_decompose(PairAnalysis(op, op, 16))
     assert report.uu.dim == 2
     lanes = {idx.lane for g in report.uu.basis for idx in g.support()}
     assert lanes == {0}
@@ -278,7 +334,7 @@ def test_pair_decompose_cycle_plus_shift():
 
 
 def test_pair_decompose_shift_powers():
-    report = pair_decompose(S(2), S(3), 16)
+    report = pair_decompose(PairAnalysis(S(2), S(3), 16))
     assert (report.uu.dim, report.us.dim, report.su.dim) == (0, 0, 0)
     assert report.ws.dim == 16
     # generator sets cover the remainder: spans of the orbit projections
@@ -291,7 +347,7 @@ def test_pair_decompose_shift_powers():
 
 def test_pair_parts_are_orthogonal_and_fill_window():
     for name, (v1, v2) in catalog_pairs():
-        report = pair_decompose(v1, v2, 12)
+        report = pair_decompose(PairAnalysis(v1, v2, 12))
         window_dim = len(v1.window_indices(12))
         parts = [report.uu, report.us, report.su, report.ws]
         assert sum(p.dim for p in parts) == window_dim, name
@@ -303,7 +359,7 @@ def test_pair_parts_are_orthogonal_and_fill_window():
 
 def test_pair_reducing_certificates():
     for name, (v1, v2) in catalog_pairs():
-        report = pair_decompose(v1, v2, 12)
+        report = pair_decompose(PairAnalysis(v1, v2, 12))
         for label in ("uu", "us", "su", "ws"):
             assert getattr(report, label).certificate.is_true, (name, label)
 
@@ -322,7 +378,7 @@ def test_pair_part_carries_the_failing_reducing_check(monkeypatch, failing,
     """A part that fails its reducing check carries the failing certificate,
     V1's when both fail; the other parts stay true."""
     v1, v2 = catalog.get("pair_fixed_plus_shift").build()
-    uu = [g.items() for g in pair_decompose(v1, v2, 16).uu.basis]
+    uu = [g.items() for g in pair_decompose(PairAnalysis(v1, v2, 16)).uu.basis]
     assert uu
     check = wold.reducing_certificate
 
@@ -333,7 +389,7 @@ def test_pair_part_carries_the_failing_reducing_check(monkeypatch, failing,
         return check(v, basis, depth)
 
     monkeypatch.setattr(wold, "reducing_certificate", reducing)
-    report = pair_decompose(v1, v2, 16)
+    report = pair_decompose(PairAnalysis(v1, v2, 16))
     assert report.uu.certificate.is_false
     assert report.uu.certificate.witness == ("failed", owner)
     assert all(p.certificate.is_true for p in (report.us, report.su, report.ws))
@@ -343,26 +399,27 @@ def test_pair_part_carries_the_failing_reducing_check(monkeypatch, failing,
 
 
 def test_ncdc_shift_powers():
-    cert = is_completely_non_doubly_commuting(S(2), S(3), 24)
+    cert = is_completely_non_doubly_commuting(PairAnalysis(S(2), S(3), 24))
     assert cert.is_true
     assert not cert.exact  # certificate relative to the searched family
 
 
 def test_ncdc_grid_pair():
     v1, v2 = catalog.grid_pair()
-    cert = is_completely_non_doubly_commuting(v1, v2, 24)
+    cert = is_completely_non_doubly_commuting(PairAnalysis(v1, v2, 24))
     assert cert.is_false
     assert cert.witness == ("subspace", "whole space")
 
 
 def test_ncdc_bilateral(bilateral):
-    cert = is_completely_non_doubly_commuting(bilateral, bilateral, 24)
+    cert = is_completely_non_doubly_commuting(
+        PairAnalysis(bilateral, bilateral, 24))
     assert cert.is_false
 
 
 def test_ncdc_fixed_plus_shift(fixed_plus_shift):
     cert = is_completely_non_doubly_commuting(
-        fixed_plus_shift, fixed_plus_shift, 24
+        PairAnalysis(fixed_plus_shift, fixed_plus_shift, 24)
     )
     assert cert.is_false
     assert cert.witness == ("subspace", "uu")
@@ -376,10 +433,10 @@ def test_ncdc_search_makes_no_reducing_check(monkeypatch, fixed_plus_shift):
     monkeypatch.setattr(wold, "reducing_certificate",
                         lambda *a: calls.append(a) or check(*a))
     cert = is_completely_non_doubly_commuting(
-        fixed_plus_shift, fixed_plus_shift, 24)
+        PairAnalysis(fixed_plus_shift, fixed_plus_shift, 24))
     assert cert.witness == ("subspace", "uu")
-    cert = is_completely_non_doubly_commuting(
-        catalog.unilateral_shift(2), catalog.unilateral_shift(3), 24)
+    cert = is_completely_non_doubly_commuting(PairAnalysis(
+        catalog.unilateral_shift(2), catalog.unilateral_shift(3), 24))
     assert cert.is_true
     assert calls == []
 
@@ -402,8 +459,8 @@ def test_ncdc_reads_the_parts_the_report_shows(window, uu_dim):
     """The search denies no unitary-type part that the pair decomposition at
     the same window shows, however deep the part starts."""
     v = _deep_cycle_shift()
-    assert pair_decompose(v, v, window).uu.dim == uu_dim
-    cert = is_completely_non_doubly_commuting(v, v, window)
+    assert pair_decompose(PairAnalysis(v, v, window)).uu.dim == uu_dim
+    cert = is_completely_non_doubly_commuting(PairAnalysis(v, v, window))
     if uu_dim:
         assert (cert.verdict, cert.witness, cert.exact) == \
             ("false", ("subspace", "uu"), True)
@@ -412,20 +469,34 @@ def test_ncdc_reads_the_parts_the_report_shows(window, uu_dim):
 
 
 def test_unitary_type_parts_are_built_once_per_tolerance(monkeypatch):
-    """The decomposition and the CNDC search on the same operators and
-    window decompose each operator once; under another working tolerance,
-    which the orbit certificates depend on, the parts are built again."""
+    """The decomposition and the CNDC search on one analysis decompose each
+    operator once; a new analysis under another working tolerance, which the
+    orbit certificates depend on, builds the parts again."""
     v1, v2 = catalog.get("pair_shifts_2_3").build()
     calls = []
     decompose = wold.wold_decompose
     monkeypatch.setattr(wold, "wold_decompose",
                         lambda *a, **k: calls.append(a) or decompose(*a, **k))
-    pair_decompose(v1, v2, 16)
-    assert is_completely_non_doubly_commuting(v1, v2, 16).is_true
+    pair = PairAnalysis(v1, v2, 16)
+    pair_decompose(pair)
+    assert is_completely_non_doubly_commuting(pair).is_true
     assert len(calls) == 2
     monkeypatch.setenv("WOLDLAB_TOLERANCE", "1e-10")
-    pair_decompose(v1, v2, 16)
+    pair_decompose(PairAnalysis(v1, v2, 16))
     assert len(calls) == 4
+
+
+def test_no_pair_state_outlives_its_analysis():
+    """The shared facts live on the analysis: once it is dropped, nothing
+    holds the pair's operators."""
+    v1, v2 = catalog.get("pair_fixed_plus_shift").build()
+    pair = PairAnalysis(v1, v2, 16)
+    pair_decompose(pair)
+    assert is_completely_non_doubly_commuting(pair).is_false
+    ref = weakref.ref(v1)
+    del v1, v2, pair
+    gc.collect()
+    assert ref() is None
 
 
 # -- lane-component search against the 2^n subset scan ------------------------------
@@ -517,7 +588,7 @@ def _brute_force_lanes(v1, v2, window):
 def _brute_force_ncdc(v1, v2, window):
     if doubly_commutes(v1, v2, window).is_true:
         return false_certificate(window, ("subspace", "whole space"))
-    report = pair_decompose(v1, v2, depth=window)
+    report = pair_decompose(PairAnalysis(v1, v2, depth=window))
     for label in ("uu", "us", "su"):
         if getattr(report, label).dim > 0:
             return false_certificate(window, ("subspace", label))
@@ -533,7 +604,7 @@ def test_component_search_skips_the_lowest_lane():
               _block(random.Random(0), [1], "phases")]
     v1, v2 = _assemble(blocks)
     assert _brute_force_lanes(v1, v2, 8) == (1,)
-    assert _doubly_commuting_component(v1, v2) == (1,)
+    assert _doubly_commuting_component(PairAnalysis(v1, v2)) == (1,)
 
 
 def test_component_search_matches_subset_scan():
@@ -541,12 +612,12 @@ def test_component_search_matches_subset_scan():
     for seed in range(60):
         v1, v2 = _random_commuting_pair(seed)
         expected = _brute_force_lanes(v1, v2, 8)
-        assert _doubly_commuting_component(v1, v2) == expected, seed
+        assert _doubly_commuting_component(PairAnalysis(v1, v2)) == expected, seed
         hits.add(expected if expected is None else min(expected) > 0)
         components = lane_components(v1, v2)
         interleaved |= any(min(a) < min(b) and max(a) > max(b)
                            for a in components for b in components)
-        cert = is_completely_non_doubly_commuting(v1, v2, 8)
+        cert = is_completely_non_doubly_commuting(PairAnalysis(v1, v2, 8))
         oracle = _brute_force_ncdc(v1, v2, 8)
         assert (cert.verdict, cert.witness, cert.exact) == \
             (oracle.verdict, oracle.witness, oracle.exact), seed
@@ -556,13 +627,13 @@ def test_component_search_matches_subset_scan():
 
 
 def test_ncdc_checks_commutation_once_and_restricts_nothing(monkeypatch):
-    """One commutation check per call, which builds no product, and the
-    component search reads the cross-commutator table instead of
-    restricting."""
+    """One commutation check per pair, made in building its analysis, which
+    builds no product, and the component search reads the cross-commutator
+    table instead of restricting."""
     random_pairs = [_random_commuting_pair(seed) for seed in range(60)]
     calls = _counted_work(monkeypatch)
     for v1, v2 in random_pairs:
-        is_completely_non_doubly_commuting(v1, v2, 8)
+        is_completely_non_doubly_commuting(PairAnalysis(v1, v2, 8))
     assert calls == {"commutes": 60, "compose": 0, "operators": 0,
                      "restrictions": 0, "reducing_certificate": 0}
 
@@ -583,14 +654,18 @@ def test_commutation_check_builds_no_operator(monkeypatch):
 @pytest.mark.parametrize("analysis", [
     core.commutes, doubly_commutes, weak_bishift_classify,
     is_completely_non_doubly_commuting, pair_decompose, exhaust_h0,
-    lambda v1, v2, depth: h0_plus(v1, v2, Subspace([]), depth),
+    lambda pair: h0_plus(pair, Subspace([])),
 ])
 def test_pair_analyses_refuse_a_nonpositive_depth(analysis, depth):
-    """The commutation check that opens every pair analysis refuses the
-    depth, also where the answer reads no window."""
+    """The commutation check refuses the depth, also where the answer reads
+    no window; a pair-layer analysis meets it in building the
+    ``PairAnalysis`` it reads."""
     v1, v2 = catalog.grid_pair()
     with pytest.raises(MalformedInputError, match="depth must be positive"):
-        analysis(v1, v2, depth)
+        if analysis in (core.commutes, doubly_commutes):
+            analysis(v1, v2, depth)
+        else:
+            analysis(PairAnalysis(v1, v2, depth))
 
 
 def test_component_search_rebuilds_no_operator():
@@ -604,7 +679,7 @@ def test_component_search_rebuilds_no_operator():
         [TailRule(1, 0, 1, 1)], tol=0.8)
     with pytest.raises(InvalidOperatorError, match="not unit"):
         op.restricted_to_lanes([0])
-    assert _doubly_commuting_component(op, op) == (0,)
+    assert _doubly_commuting_component(PairAnalysis(op, op)) == (0,)
 
 
 def test_cross_commutator_matches_its_definition():
@@ -650,8 +725,8 @@ def orbit_calls_outside_wold(monkeypatch):
 
 def test_pair_decompose_reuses_wold_orbits(orbit_calls_outside_wold):
     v1, v2 = catalog.grid_pair()
-    pairs.pair_decompose(v1, v2, 16)
-    pairs.pair_decompose(S(2), S(3), 16)
+    pairs.pair_decompose(PairAnalysis(v1, v2, 16))
+    pairs.pair_decompose(PairAnalysis(S(2), S(3), 16))
     assert orbit_calls_outside_wold == []
 
 
