@@ -46,13 +46,15 @@ families once for this and builds the window as soon as a vector has two
 entries, or where a row would need a sum of several terms: two span
 inputs, two basis vectors, two nullspace inputs or two combined vectors on
 one index, or a coefficient column that mixes two vectors.
+
+numpy is imported on the first linear-algebra call, not with the module:
+the commands and analyses that never reach this layer (``wander``,
+``spectral``, ``catalog``, orbits, spectral covers) never load it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 from .config import (
     NULLSPACE_ATOL,
@@ -62,6 +64,22 @@ from .config import (
     SPAN_RANK_TOL,
 )
 from .core import HVector
+
+
+class _Numpy:
+    """Stands for numpy until its first attribute is read: that read
+    imports numpy and rebinds the module global ``np`` to it, so every
+    later ``np.`` lookup finds numpy itself."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 # columns per block of the Gram matrix in ``gram_suspects``: bounds its
 # temporaries to _BLOCK x columns entries
@@ -110,15 +128,14 @@ class _Family(NamedTuple):
     val: np.ndarray
 
 
-_NO_ENTRIES = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
-               np.empty(0, dtype=complex))
-
-
-def _family(label: np.ndarray, chunks, entries=_NO_ENTRIES) -> _Family:
+def _family(label: np.ndarray, chunks, entries=None) -> _Family:
     """A family from blocks: a chunk (cols (g, c), rows (g, r), x (g, r, c))
     gives column cols[k, j] the values x[k, :, j] at rows rows[k].
-    ``entries`` (row, col, val) are added as they are; exact zeros are
-    dropped."""
+    ``entries`` (row, col, val), if given, are added as they are; exact
+    zeros are dropped."""
+    if entries is None:
+        entries = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+                   np.empty(0, dtype=complex))
     parts = [entries]
     for c, r, x in chunks:
         parts.append((r.repeat(x.shape[2]), c.repeat(x.shape[1], axis=0).ravel(),

@@ -25,12 +25,14 @@ class PreconditionError(WoldlabError):
     """An analysis refused to run because its precondition fails.
 
     Carries the offending evidence in ``witness`` when one exists (for
-    example the exponent pair showing a vector is not wandering).
+    example the exponent pair showing a vector is not wandering), and the
+    failed check's ``certificate`` when the refusal comes from one.
     """
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness=None, certificate=None):
         super().__init__(message)
         self.witness = witness
+        self.certificate = certificate
 
 
 class DescriptionParseError(MalformedInputError):

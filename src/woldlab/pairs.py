@@ -42,8 +42,9 @@ from .errors import CompositionError, PreconditionError
 class PairAnalysis:
     """A commuting pair (V1, V2) at one depth and the facts its analyses
     share.  Building it runs the one commutation check, which refuses a
-    nonpositive depth, and raises ``PreconditionError`` on a pair that does
-    not commute.  Each shared fact is derived on first use, at the working
+    nonpositive depth, keeps its certificate in ``commutes``, and raises
+    ``PreconditionError`` carrying that certificate on a pair that does not
+    commute.  Each shared fact is derived on first use, at the working
     tolerance of that moment, and lives as long as the analysis."""
 
     def __init__(self, v1: StructuredIsometry, v2: StructuredIsometry,
@@ -51,8 +52,9 @@ class PairAnalysis:
         cert = commutes(v1, v2, depth)
         if not cert.is_true:
             raise PreconditionError("the operators do not commute",
-                                    witness=cert.witness)
+                                    witness=cert.witness, certificate=cert)
         self.v1, self.v2, self.depth = v1, v2, depth
+        self.commutes = cert
 
     @cached_property
     def failing_lanes(self) -> set[int]:
@@ -263,8 +265,10 @@ def weak_bishift_classify(pair: PairAnalysis) -> Certificate:
     The two intersection spaces are finite dimensional here (the structured
     form has finite defect), so their restrictions are unitary whenever they
     are nonzero; being a shift then means being {0}.  The product is tested
-    through its Wold decomposition, undecided when the product of two
-    valid operators fails validation (their column norm errors add up).
+    through its Wold decomposition, undecided when that decomposition is
+    not exact (a unitary window basis it could not certify is no witness)
+    or when the product of two valid operators fails validation (their
+    column norm errors add up).
     """
     v1, v2, depth = pair.v1, pair.v2, pair.depth
     for name, inner_op, outer_op in (("v1", v1, v2), ("v2", v2, v1)):
@@ -277,11 +281,11 @@ def weak_bishift_classify(pair: PairAnalysis) -> Certificate:
     except CompositionError:
         return undecided_certificate(depth)
     wres = wold.wold_decompose(product, depth)
+    if not wres.exact:
+        return undecided_certificate(depth)
     if wres.unitary_window_basis:
         lead = wres.unitary_window_basis[0].support()[0]
         return false_certificate(depth, ("product_unitary_part", lead))
-    if not wres.exact:
-        return undecided_certificate(depth)
     return true_certificate(depth, exact=True)
 
 
@@ -380,14 +384,21 @@ def is_completely_non_doubly_commuting(pair: PairAnalysis) -> Certificate:
     is never denied here.
 
     A true verdict is a certificate relative to that family, reported with
-    ``exact=False``; false verdicts carry the witnessing subspace.
+    ``exact=False``; false verdicts carry the witnessing subspace.  A
+    unitary-type part read from a Wold decomposition that is not exact is
+    no witness: the lane components are searched without it, and a
+    nonempty part that no component settles leaves the verdict undecided.
     """
     if not pair.failing_lanes:
         return false_certificate(pair.depth, ("subspace", "whole space"))
-    for label, basis in zip(("uu", "us", "su"), pair.unitary_type_parts):
-        if basis:
-            return false_certificate(pair.depth, ("subspace", label))
+    exact = all(w.exact for w in pair.wolds)
+    if exact:
+        for label, basis in zip(("uu", "us", "su"), pair.unitary_type_parts):
+            if basis:
+                return false_certificate(pair.depth, ("subspace", label))
     component = _doubly_commuting_component(pair)
     if component is not None:
         return false_certificate(pair.depth, ("lanes", component))
+    if not exact and any(pair.unitary_type_parts):
+        return undecided_certificate(pair.depth)
     return true_certificate(pair.depth, exact=False)

@@ -4,6 +4,9 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -598,9 +601,9 @@ def test_pair_decomposes_each_operator_once(monkeypatch, capsys):
 
 def test_pair_builds_one_product(monkeypatch, capsys):
     """A `pair` query builds the two operators and the one product that the
-    weak bi-shift test analyses.  Its three commutation checks, the report's
-    own, the pair analysis's and the one opening `doubly_commutes`, build
-    none."""
+    weak bi-shift test analyses.  Its two commutation checks, the pair
+    analysis's, whose certificate the report's `commutes` section reads,
+    and the one opening `doubly_commutes`, build none."""
     built, composed, checked = [], [], []
     init, compose, commutes = (StructuredIsometry.__init__, pairs.compose,
                                core.commutes)
@@ -615,7 +618,7 @@ def test_pair_builds_one_product(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "pair", "--input", "catalog:pair_shifts_2_3",
                          "--depth", "64")
     assert code == cli.OK
-    assert (len(built), len(composed), len(checked)) == (3, 1, 3)
+    assert (len(built), len(composed), len(checked)) == (3, 1, 2)
 
 
 def test_pair_with_an_invalid_product_is_undecided(tmp_path, capsys):
@@ -653,3 +656,143 @@ def test_pair_query_keeps_no_operator_alive(monkeypatch, tmp_path, capsys):
     assert code == cli.OK
     gc.collect()
     assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+
+# The unilateral shift with e_(i,n) relabelled e_(3n+i).  Its kernel orbit
+# moves one position every three steps, too slowly to leave the window, so
+# its Wold decomposition is not exact at any depth.
+SLOW_SHIFT = ("lane 0 naturals\nlane 1 naturals\nlane 2 naturals\n"
+              "tail 0 0 -> 1 offset 0 phase 0\n"
+              "tail 1 0 -> 2 offset 0 phase 0\n"
+              "tail 2 0 -> 0 offset 1 phase 0\n")
+# (S, -iS) with the same relabelling by two lanes
+SLOW_PAIR = ("lane 0 naturals\nlane 1 naturals\n"
+             "tail 0 0 -> 1 offset 0 phase 1/2\n"
+             "tail 1 0 -> 0 offset 1 phase 3/4\n",
+             "lane 0 naturals\nlane 1 naturals\n"
+             "tail 0 0 -> 1 offset 0 phase 1/4\n"
+             "tail 1 0 -> 0 offset 1 phase 1/2\n")
+
+
+def test_pair_of_slow_shifts_draws_no_verdict_from_an_inexact_wold(
+        tmp_path, capsys):
+    """(T, T) is unitarily equivalent to `pair_parallel_shifts`, whose
+    product is pure.  T's Wold decomposition is not exact, so the window
+    basis it leaves for the unitary part of T² witnesses nothing: the weak
+    bi-shift test and the CNDC search are undecided, not false."""
+    single, both = tmp_path / "t.op", tmp_path / "tt.op"
+    single.write_text(SLOW_SHIFT)
+    both.write_text(SLOW_SHIFT + "==\n" + SLOW_SHIFT)
+    code, out, _ = run_cli(capsys, "wold", "--input", str(single),
+                           "--depth", "32", "--format", "json")
+    assert code == cli.UNDECIDED_EXIT
+    assert json.loads(out)["wold"]["exact"] is False
+    code, out, _ = run_cli(capsys, "pair", "--input", str(both),
+                           "--depth", "32", "--format", "json")
+    assert code == cli.UNDECIDED_EXIT
+    report = json.loads(out)
+    undecided = {"verdict": "undecided", "exact": False, "horizon": 32,
+                 "witness": None}
+    assert report["weak_bishift"] == undecided
+    assert report["completely_non_doubly_commuting"] == undecided
+
+
+@pytest.mark.parametrize("depth", [6, 16, 64])
+def test_cndc_of_a_pair_with_inexact_wolds_is_undecided(tmp_path, capsys,
+                                                         depth):
+    """Both operators of this relabelled (S, -iS), a CNDC pair, have
+    inexact Wold decompositions; the unitary-type part read from them
+    is no witness of a doubly commuting piece."""
+    for i, text in enumerate(SLOW_PAIR):
+        (tmp_path / f"v{i}.op").write_text(text)
+        code, _, _ = run_cli(capsys, "wold", "--input",
+                             str(tmp_path / f"v{i}.op"), "--depth", str(depth))
+        assert code == cli.UNDECIDED_EXIT
+    (tmp_path / "pair.op").write_text("==\n".join(SLOW_PAIR))
+    code, out, _ = run_cli(capsys, "pair", "--input", str(tmp_path / "pair.op"),
+                           "--depth", str(depth), "--format", "json")
+    assert code == cli.UNDECIDED_EXIT
+    assert json.loads(out)["completely_non_doubly_commuting"] == {
+        "verdict": "undecided", "exact": False, "horizon": depth,
+        "witness": None}
+
+
+
+def test_cndc_with_inexact_wolds_still_finds_a_doubly_commuting_component(
+        tmp_path, capsys):
+    """(T + U, T + U), U the bilateral shift on a lane of its own.  T's
+    inexact Wold decomposition leaves a unitary window basis that is no
+    witness, but lane 3 is a component on which the pair doubly commutes:
+    the CNDC search still answers an exact false."""
+    op = SLOW_SHIFT + "lane 3 integers\ntail 3 0 -> 3 offset 1 phase 0\n"
+    (tmp_path / "pair.op").write_text(op + "==\n" + op)
+    code, out, _ = run_cli(capsys, "pair", "--input", str(tmp_path / "pair.op"),
+                           "--depth", "32", "--format", "json")
+    assert code == cli.UNDECIDED_EXIT
+    report = json.loads(out)
+    assert report["decomposition"]["uu"]["basis"]
+    assert report["completely_non_doubly_commuting"] == {
+        "verdict": "false", "exact": True, "horizon": 32,
+        "witness": {"kind": "note", "text": "lanes (3,)"}}
+
+# -- cold start: numpy loads on the first linear-algebra call ---------------
+
+SRC = Path(cli.__file__).resolve().parents[1]
+# argv = [imports, cli argv...]; prints the exit code, whether numpy is
+# loaded, and the report
+COLD_PROBE = r"""
+import contextlib, io, json, sys
+for name in sys.argv[1].split():
+    __import__(name)
+from woldlab import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[2:])
+print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
+"""
+
+
+def fresh_python(code, *argv):
+    """Standard output of ``code`` run with ``argv`` in a fresh interpreter
+    on this source tree."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True, timeout=300).stdout
+
+
+def fresh_cli(*argv, imports=""):
+    """(exit code, whether numpy was loaded, stdout) of ``cli.main(argv)``
+    in a fresh interpreter, after importing the space-separated modules
+    ``imports``."""
+    return tuple(json.loads(fresh_python(COLD_PROBE, imports, *argv)))
+
+
+@pytest.mark.parametrize("module", ["woldlab", "woldlab.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    assert fresh_python(code) == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("wander", "--input", "catalog:bilateral_plus_shift", "--vector", "1:0=1"),
+    ("wander", "--strong", "--input", "catalog:bilateral_plus_shift",
+     "--vector", "1:0=1"),
+    ("spectral", "--input", "catalog:kerchy"),
+    ("spectral", "--input", "catalog:arc_restriction"),
+    ("catalog",),
+    ("catalog", "--export", "pair_grid"),
+], ids=" ".join)
+def test_commands_without_linear_algebra_leave_numpy_unloaded(argv):
+    code, loaded, out = fresh_cli(*argv, "--format", "json")
+    assert (code, loaded) == (cli.OK, False)
+    assert out
+
+
+def test_wold_loads_numpy_on_first_use_with_the_same_report():
+    argv = ("wold", "--input", "catalog:bilateral_plus_shift", "--depth", "16",
+            "--format", "json")
+    lazy = fresh_cli(*argv)
+    eager = fresh_cli(*argv, imports="numpy")
+    assert lazy[:2] == (cli.OK, True)
+    assert lazy == eager
