@@ -22,7 +22,6 @@ from .core import (
     LaneSpec,
     StructuredIsometry,
     TailRule,
-    commutes,
     doubly_commutes,
 )
 from .errors import MalformedInputError
@@ -466,7 +465,7 @@ def _run_operator(op, key):
 
 def _run_pair(pair, key):
     if key == "commutes":
-        return commutes(pair.v1, pair.v2).verdict
+        return pair.commutes.verdict
     if key == "doubly_commutes":
         cert = doubly_commutes(pair.v1, pair.v2)
         return {"verdict": cert.verdict,

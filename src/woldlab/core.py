@@ -529,6 +529,20 @@ class StructuredIsometry:
         return IsometryDefect(2 * worst, width)
 
     @cached_property
+    def adjoint_kernel(self) -> Subspace:
+        """Orthonormal basis of ker V*, exact and finite dimensional: the
+        orthogonal complement of the explicit columns inside the span of
+        the untailed indices.  It reads no working tolerance, so it is
+        derived once per operator, on first use, and shared by every
+        analysis of the operator."""
+        from ._linalg import complement_basis
+
+        candidates = [HVector([(idx, 1.0)]) for idx in self.untailed_indices()]
+        columns = [self.explicit_columns[src]
+                   for src in sorted(self.explicit_columns)]
+        return Subspace(complement_basis(candidates, columns), Closure())
+
+    @cached_property
     def component_restrictions(self) -> dict[
             tuple[int, ...], dict[float, "StructuredIsometry"]]:
         """The connected components of the lane graph (see
@@ -933,10 +947,8 @@ def cross_commutator(v: StructuredIsometry,
     sum_k conj(k[e]) v*wk over the kernel's orthonormal basis.  The kernel
     is finite and exact, so is the table.
     """
-    from .wold import kernel_of_adjoint
-
     table: dict[BasisIndex, HVector] = {}
-    for k in kernel_of_adjoint(v).generators:
+    for k in v.adjoint_kernel.generators:
         image = v.apply_adjoint(w.apply(k))
         for idx, c in k.items():
             table[idx] = table.get(idx, HVector.zero()) \

@@ -264,22 +264,17 @@ def backward_orbit(op, x, steps=None) -> OrbitRecord:
 
 
 def kernel_of_adjoint(v: StructuredIsometry) -> Subspace:
-    """Orthonormal basis of ker V*.
-
-    For structured isometries the kernel is finite dimensional: it is the
-    orthogonal complement of the explicit columns inside the span of the
-    indices no tail rule hits, so the result is exact.
-    """
-    candidates = [HVector([(idx, 1.0)]) for idx in v.untailed_indices()]
-    columns = [v.explicit_columns[src] for src in sorted(v.explicit_columns)]
-    basis = _linalg.complement_basis(candidates, columns)
-    return Subspace(basis, Closure())
+    """Orthonormal basis of ker V*, exact: the operator's own
+    ``adjoint_kernel``, derived once per operator and shared, so callers
+    only read it."""
+    return v.adjoint_kernel
 
 
 def is_unitary(v: StructuredIsometry) -> bool:
     """Exact: a structured isometry is unitary iff ker V* = {0}.  Validated
     explicit columns are orthonormal and avoid the tail image, so dim ker V*
-    is the number of untailed indices minus the number of columns."""
+    is the number of untailed indices minus the number of columns.  Counted
+    without deriving ``adjoint_kernel``, so no linear algebra is loaded."""
     return len(v.untailed_indices()) == len(v.explicit_columns)
 
 

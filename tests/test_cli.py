@@ -1,6 +1,7 @@
 """CLI contract: report content, exit codes, format parity, determinism."""
 
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -603,8 +604,10 @@ def test_pair_builds_one_product(monkeypatch, capsys):
     """A `pair` query builds the two operators and the one product that the
     weak bi-shift test analyses.  Its two commutation checks, the pair
     analysis's, whose certificate the report's `commutes` section reads,
-    and the one opening `doubly_commutes`, build none."""
-    built, composed, checked = [], [], []
+    and the one opening `doubly_commutes`, build none.  Each of the three
+    operators derives ker V* once, and the Wold decomposition, the
+    cross-commutator and the weak bi-shift core all read V1's."""
+    built, composed, checked, derived, readers = [], [], [], [], []
     init, compose, commutes = (StructuredIsometry.__init__, pairs.compose,
                                core.commutes)
     monkeypatch.setattr(
@@ -615,10 +618,28 @@ def test_pair_builds_one_product(monkeypatch, capsys):
     for owner in (core, cli, pairs):
         monkeypatch.setattr(owner, "commutes",
                             lambda *a: checked.append(a) or commutes(*a))
+    kernel = StructuredIsometry.adjoint_kernel
+    counted = functools.cached_property(
+        lambda self: derived.append(self) or kernel.func(self))
+    counted.__set_name__(StructuredIsometry, "adjoint_kernel")
+    monkeypatch.setattr(StructuredIsometry, "adjoint_kernel", counted)
+    for owner, name, arg in ((wold, "wold_decompose", 0),
+                             (core, "cross_commutator", 0),
+                             (pairs, "cross_commutator", 0),
+                             (pairs, "_joint_shift_core", 1)):
+        monkeypatch.setattr(owner, name, lambda *a, f=getattr(owner, name),
+                            name=name, arg=arg: readers.append(
+                                (name, a[arg], a[arg].adjoint_kernel))
+                            or f(*a))
     code, _, _ = run_cli(capsys, "pair", "--input", "catalog:pair_shifts_2_3",
                          "--depth", "64")
     assert code == cli.OK
     assert (len(built), len(composed), len(checked)) == (3, 1, 2)
+    assert len(derived) == len(set(map(id, derived))) == 3
+    v1 = next(op for name, op, _ in readers if name == "cross_commutator")
+    read = {(name, id(k)) for name, op, k in readers if op is v1}
+    assert read == {(name, id(v1.adjoint_kernel)) for name in
+                    ("wold_decompose", "cross_commutator", "_joint_shift_core")}
 
 
 def test_pair_with_an_invalid_product_is_undecided(tmp_path, capsys):

@@ -89,6 +89,25 @@ def test_only_linalg_imports_numpy():
     assert found
 
 
+def test_core_imports_no_analysis_layer():
+    """``core`` sits below the analyses: no import in it, at module level or
+    inside a function, names ``wold``, ``pairs``, ``catalog`` or ``cli``."""
+    path = Path(woldlab.__file__).parent / "core.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ([alias.name for alias in node.names]
+                     if node.module in (None, "woldlab") else [node.module])
+        else:
+            continue
+        found += [f"{name}:{node.lineno}" for name in names
+                  if name.removeprefix("woldlab.").split(".")[0]
+                  in ("wold", "pairs", "catalog", "cli")]
+    assert found == []
+
+
 def test_certificate_invariants():
     with pytest.raises(ValueError):
         Certificate("false", witness=None)

@@ -916,9 +916,17 @@ def test_extension_refused_without_exact_wold():
 
 
 def test_extension_minimality_on_window():
-    """Every new basis vector is U^{-n} of an original index."""
+    """Every new basis vector is U^{-n} of an original index.  The last two
+    operators take past lanes although a kernel vector is a plain unit: on
+    a finite lane, and on a pure-tail naturals lane that a column touches."""
+    finite_kernel = StructuredIsometry(
+        [LaneSpec(0, "finite", 1), LaneSpec(1, "naturals")],
+        {BasisIndex(0, 0): basis(1, 0)}, [TailRule(1, 0, 1, 1)])
+    touched_tail = StructuredIsometry(
+        [LaneSpec(0, "naturals"), LaneSpec(1, "finite", 1)],
+        {BasisIndex(1, 0): basis(0, 1)}, [TailRule(0, 0, 0, 2)])
     for op in (S(), S(2), catalog.example_fixed_plus_shift(),
-               catalog.feeding_core()):
+               catalog.feeding_core(), finite_kernel, touched_tail):
         res = minimal_unitary_extension(op)
         ext = res.operator
         original_lanes = {l.lane_id for l in op.lanes}
